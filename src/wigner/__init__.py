@@ -53,6 +53,7 @@ from .generators import (
     validate_manifest,
 )
 from .mazurulam import (
+    OrthogonalReconstruction,
     RealTransformation,
     check_isometry,
     reconstruct_orthogonal,

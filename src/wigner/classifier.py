@@ -61,8 +61,8 @@ class PairRecord:
     label: str
     norm_w: float
     norm_z: float
-    expected: float  # |<w|z>|
-    deviation: float  # | |<Tw|Tz>| - |<w|z>| |
+    expected: float  # product(w, z), e.g. |<w|z>|
+    deviation: float  # |product(Tw, Tz) - product(w, z)|
 
 
 @dataclass
@@ -153,18 +153,28 @@ def check_preservation(
         ("random", random_state(n, rng), random_state(n, rng))
         for _ in range(num_pairs)
     ]
+    return sample_pairs(
+        transform, pairs, lambda a, b: abs(complex(np.vdot(a, b))), tol
+    )
 
+
+def sample_pairs(transform, pairs, product, tol: float) -> PreservationReport:
+    """Deviation |product(Tw, Tz) - product(w, z)| of each (label, w, z) pair.
+
+    The one sampler behind `check_preservation` (overlap moduli) and
+    `mazurulam.check_isometry` (real scalar products); passes when the
+    largest deviation is below `tol`.
+    """
     records = []
     for label, w, z in pairs:
-        expected = abs(complex(np.vdot(w, z)))
-        got = abs(complex(np.vdot(transform(w), transform(z))))
+        expected = product(w, z)
         records.append(
             PairRecord(
                 label=label,
                 norm_w=float(np.linalg.norm(w)),
                 norm_z=float(np.linalg.norm(z)),
                 expected=expected,
-                deviation=abs(got - expected),
+                deviation=abs(product(transform(w), transform(z)) - expected),
             )
         )
     worst = max(r.deviation for r in records)

@@ -25,7 +25,6 @@ randomness flows from --seed (default 0).
 """
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -71,7 +70,7 @@ from .generators import (
     transformation_from_entry,
     validate_manifest,
 )
-from .mazurulam import RealTransformation, check_isometry, reconstruct_orthogonal
+from .mazurulam import RealTransformation, reconstruct_orthogonal
 from .states import zero_state
 from .wirtinger import richardson_refine, wirtinger_jacobian
 
@@ -185,7 +184,8 @@ def _error_payload(exc: WignerError) -> tuple[int, dict]:
             payload = {"error": code, "detail": str(exc)}
             report = getattr(exc, "report", None)
             if report is not None:
-                payload["preservation"] = _preservation_payload(report)
+                key = "isometry" if isinstance(exc, NotIsometry) else "preservation"
+                payload[key] = _preservation_payload(report)
             return 2, payload
     return 2, {"error": "analysis_error", "detail": str(exc)}
 
@@ -197,7 +197,7 @@ def _preservation_payload(report, with_pairs: bool = False) -> dict:
         "tolerance": report.tolerance,
         "passed": report.passed,
     }
-    if with_pairs and getattr(report, "records", None):
+    if with_pairs:
         block["pairs"] = [dataclasses.asdict(r) for r in report.records]
     return block
 
@@ -233,8 +233,6 @@ def _validate_numeric_flags(args) -> None:
             raise SchemaError(f"--{name.replace('_', '-')} must be positive")
     if args.samples < 1:
         raise SchemaError("--samples must be at least 1")
-    if args.jobs < 1:
-        raise SchemaError("--jobs must be at least 1")
     if getattr(args, "levels", 0) not in range(0, 5):
         raise SchemaError("--levels must be in 0..4")
 
@@ -352,18 +350,7 @@ def _cmd_fuzz(args) -> tuple[int, dict]:
         raw = default_manifest()
     entries = validate_manifest(raw)
 
-    if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [
-                pool.submit(_fuzz_instance, idx, entry, args)
-                for idx, entry in enumerate(entries)
-            ]
-            records = [f.result() for f in futures]
-    else:
-        records = [
-            _fuzz_instance(idx, entry, args) for idx, entry in enumerate(entries)
-        ]
-    records.sort(key=lambda r: r["index"])
+    records = [_fuzz_instance(idx, entry, args) for idx, entry in enumerate(entries)]
 
     symmetries = [r for r in records if is_symmetry_kind(r["kind"]) and r["status"] != "caveat_n1"]
     adversaries = [r for r in records if not is_symmetry_kind(r["kind"]) and r["status"] != "caveat_n1"]
@@ -403,32 +390,19 @@ def _as_real_transformation(transform) -> RealTransformation:
 
 
 def _cmd_mazur_ulam(args) -> tuple[int, dict]:
-    transform = _as_real_transformation(_load_transformation(args))
-    isometry = check_isometry(
-        transform, num_pairs=args.samples, seed=args.seed, tol=args.tol_unitary
-    )
-    payload = {
-        "isometry": {
-            "pairs_tested": isometry.pairs_tested,
-            "max_deviation": isometry.max_deviation,
-            "tolerance": isometry.tolerance,
-            "passed": isometry.passed,
-        }
-    }
-    matrix = reconstruct_orthogonal(
-        transform,
+    reconstruction = reconstruct_orthogonal(
+        _as_real_transformation(_load_transformation(args)),
         step=args.step,
         tol=args.tol_unitary,
         num_pairs=args.samples,
         seed=args.seed,
     )
-    n = transform.dimension
-    payload["verdict"] = "orthogonal"
-    payload["operator_real"] = _real_matrix_payload(matrix)
-    payload["orthogonality_residual"] = float(
-        np.abs(matrix.T @ matrix - np.eye(n)).max()
-    )
-    return 0, payload
+    return 0, {
+        "verdict": "orthogonal",
+        "operator_real": _real_matrix_payload(reconstruction.matrix),
+        "orthogonality_residual": reconstruction.orthogonality_residual,
+        "isometry": _preservation_payload(reconstruction.isometry),
+    }
 
 
 _HANDLERS = {
@@ -453,7 +427,6 @@ def _config_echo(args) -> dict:
         "samples": args.samples,
         "seed": args.seed,
         "format": args.format,
-        "jobs": args.jobs,
     }
     for attr in ("spec", "constants", "manifest", "point"):
         value = getattr(args, attr, None)
@@ -530,14 +503,10 @@ def _to_csv(report: dict) -> str:
                 writer.writerow([r, c, vz[0], vz[1], vb[0], vb[1]])
         return buffer.getvalue()
     fields = [f for f in _CSV_SCALAR_FIELDS if f in report]
-    extras = []
-    if "preservation" in report:
-        extras = ["pairs_tested", "max_deviation"]
+    block = report.get("preservation", report.get("isometry"))
+    extras = ["pairs_tested", "max_deviation"] if block else []
     writer.writerow(fields + extras)
-    row = [report[f] for f in fields]
-    if extras:
-        row += [report["preservation"][e] for e in extras]
-    writer.writerow(row)
+    writer.writerow([report[f] for f in fields] + [block[e] for e in extras])
     return buffer.getvalue()
 
 
@@ -592,13 +561,14 @@ def _to_human(report: dict) -> str:
             f"orthogonality residual: {report['orthogonality_residual']:.3g} "
             + _flag(report["orthogonality_residual"], echo["tol_unitary"])
         )
-    if "preservation" in report:
-        block = report["preservation"]
-        lines.append(
-            f"preservation: {block['pairs_tested']} pairs, max deviation "
-            f"{block['max_deviation']:.3g} "
-            + ("[ok]" if block["passed"] else f"[EXCEEDS {block['tolerance']:g}]")
-        )
+    for key in ("preservation", "isometry"):
+        if key in report:
+            block = report[key]
+            lines.append(
+                f"{key}: {block['pairs_tested']} pairs, max deviation "
+                f"{block['max_deviation']:.3g} "
+                + ("[ok]" if block["passed"] else f"[EXCEEDS {block['tolerance']:g}]")
+            )
     if "d_zbar_max" in report:
         lines.append(f"max |d_zbar| entry: {report['d_zbar_max']:.3g}")
     if "d_z" in report:
@@ -654,7 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("json", "csv", "human"), default="json")
     common.add_argument("--output", default=None, help="write the report here instead of stdout")
-    common.add_argument("--jobs", type=int, default=1, help="fuzz concurrency")
     common.add_argument("--no-timestamp", action="store_true", dest="no_timestamp")
 
     spec_opts = _ArgumentParser(add_help=False)

@@ -55,7 +55,7 @@ from .errors import (
     UnknownIdentifier,
     UnknownMatrix,
 )
-from .states import Transformation, as_state
+from .states import Transformation
 
 FUNCTIONS = {
     "conj": 1,
@@ -469,13 +469,7 @@ def _prepare_constants(spec: TransformSpec, constants) -> dict:
 
 def evaluate(spec: TransformSpec, z, constants=None) -> np.ndarray:
     """Evaluate all output components of `spec` at the state `z`."""
-    zv = as_state(z, spec.dimension)
-    ctx = _EvalContext(zv, _prepare_constants(spec, constants))
-    out = np.empty(spec.dimension, dtype=np.complex128)
-    for k, tree in enumerate(spec.outputs):
-        ctx.row = k
-        out[k] = _eval(tree, ctx)
-    return out
+    return compile_to_transformation(spec, constants)(z)
 
 
 def compile_to_transformation(spec: TransformSpec, constants=None) -> Transformation:

@@ -7,59 +7,30 @@ map given by its Jacobian at the origin. Unlike the complex case there is
 no phase freedom: Jacobians at distinct points must agree entrywise.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NonFiniteEvaluation,
-    NotIsometry,
-    NotOrthogonal,
-    OriginNotFixed,
-    ReconstructionMismatch,
-)
+from .classifier import PreservationReport, sample_pairs
+from .errors import NotIsometry, NotOrthogonal, OriginNotFixed, ReconstructionMismatch
+from .states import Transformation
 from .wirtinger import real_jacobian
 
 
-def as_real_vector(u, dim: int | None = None) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    if arr.ndim != 1:
-        raise DimensionMismatch(f"expected a vector, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise DimensionMismatch(f"expected dimension {dim}, got {arr.shape[0]}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteEvaluation("vector has non-finite components")
-    return arr
+class RealTransformation(Transformation):
+    """A deterministic map u -> T(u) on R^n: a `Transformation` whose
+    `dtype` is float64, so points and images are real vectors."""
+
+    dtype = np.float64
 
 
 @dataclass
-class RealTransformation:
-    """A deterministic, dimension-preserving map on R^n."""
+class OrthogonalReconstruction:
+    """The recovered orthogonal matrix with the checks that accepted it."""
 
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    dimension: int
-
-    def __call__(self, u) -> np.ndarray:
-        uv = as_real_vector(u, self.dimension)
-        out = np.asarray(self.evaluator(uv), dtype=np.float64)
-        if out.shape != (self.dimension,):
-            raise DimensionMismatch(
-                f"evaluator returned shape {out.shape}, expected ({self.dimension},)"
-            )
-        if not np.isfinite(out).all():
-            raise NonFiniteEvaluation("evaluator returned non-finite components")
-        return out
-
-
-@dataclass
-class IsometryReport:
-    pairs_tested: int
-    max_deviation: float
-    tolerance: float
-    passed: bool
-    deviations: list[float] = field(default_factory=list)
+    matrix: np.ndarray
+    orthogonality_residual: float  # max-norm of O^T O - I
+    isometry: PreservationReport
 
 
 def check_isometry(
@@ -67,28 +38,20 @@ def check_isometry(
     num_pairs: int = 100,
     seed: int = 0,
     tol: float = 1e-8,
-) -> IsometryReport:
+) -> PreservationReport:
     """Max of |T(u).T(v) - u.v| over seeded pairs (plus zero and parallel specials)."""
     if num_pairs < 1:
         raise ValueError("num_pairs must be at least 1")
     n = transform.dimension
     rng = np.random.default_rng(seed)
     anchor = rng.standard_normal(n)
-    pairs = [(np.zeros(n), np.zeros(n)), (np.zeros(n), anchor), (anchor, anchor)]
+    zero = np.zeros(n)
+    pairs = [("zero", zero, zero), ("zero", zero, anchor), ("parallel", anchor, anchor)]
     pairs += [
-        (rng.standard_normal(n), rng.standard_normal(n)) for _ in range(num_pairs)
+        ("random", rng.standard_normal(n), rng.standard_normal(n))
+        for _ in range(num_pairs)
     ]
-    deviations = [
-        abs(float(transform(u) @ transform(v)) - float(u @ v)) for u, v in pairs
-    ]
-    worst = max(deviations)
-    return IsometryReport(
-        pairs_tested=len(pairs),
-        max_deviation=worst,
-        tolerance=float(tol),
-        passed=worst < tol,
-        deviations=deviations,
-    )
+    return sample_pairs(transform, pairs, lambda u, v: float(u @ v), tol)
 
 
 def reconstruct_orthogonal(
@@ -98,13 +61,14 @@ def reconstruct_orthogonal(
     num_pairs: int = 100,
     seed: int = 0,
     origin_tol: float = 1e-9,
-) -> np.ndarray:
+) -> OrthogonalReconstruction:
     """Recover the orthogonal matrix of a scalar-product-preserving map.
 
     The matrix is the central-difference Jacobian at the origin, verified
     three ways: O^T O = I within `tol`; |T(v) - O v| / |v| < tol at 50
     seeded points; Jacobians at two further points agree with O entrywise
-    within `tol` (no scalar freedom in the real case).
+    within `tol` (no scalar freedom in the real case). The isometry check
+    runs first and its report is returned with the matrix.
     """
     report = check_isometry(transform, num_pairs=num_pairs, seed=seed, tol=tol)
     if not report.passed:
@@ -138,4 +102,6 @@ def reconstruct_orthogonal(
             raise ReconstructionMismatch(
                 f"Jacobian is not constant: entrywise drift {drift:.3g} (tol {tol:g})"
             )
-    return matrix
+    return OrthogonalReconstruction(
+        matrix=matrix, orthogonality_residual=residual, isometry=report
+    )

@@ -8,9 +8,9 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteEvaluation
 
 
-def as_state(z, dim: int | None = None) -> np.ndarray:
-    """Coerce `z` to a finite 1-D complex128 vector, checking its dimension."""
-    arr = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+def as_state(z, dim: int | None = None, dtype=np.complex128) -> np.ndarray:
+    """Coerce `z` to a finite 1-D vector of `dtype`, checking its dimension."""
+    arr = np.atleast_1d(np.asarray(z, dtype=dtype))
     if arr.ndim != 1:
         raise DimensionMismatch(f"state must be a vector, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
@@ -39,11 +39,14 @@ def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 class Transformation:
     """An evaluatable map z -> T(z) on C^n.
 
-    The evaluator must be deterministic and safe to call from several
-    threads at once. `source` carries the defining expression text when the
-    map was compiled from a file. `ground_truth` is generator bookkeeping
-    (the kind and matrix an instance was built from); analysis code never
-    reads it.
+    Points and images are vectors of the class attribute `dtype`,
+    complex128 here; a subclass for a real space sets float64. Every call
+    coerces the point and the evaluator's result to `dtype` and checks
+    their dimension and finiteness. The evaluator must be deterministic
+    and safe to call from several threads at once. `source` carries the
+    defining expression text when the map was compiled from a file.
+    `ground_truth` is generator bookkeeping (the kind and matrix an
+    instance was built from); analysis code never reads it.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -51,13 +54,15 @@ class Transformation:
     source: str | None = None
     ground_truth: dict | None = None
 
+    dtype = np.complex128
+
     def __post_init__(self):
         if self.dimension < 1:
             raise DimensionMismatch("dimension must be at least 1")
 
     def __call__(self, z) -> np.ndarray:
-        zv = as_state(z, self.dimension)
-        out = np.asarray(self.evaluator(zv), dtype=np.complex128)
+        zv = as_state(z, self.dimension, self.dtype)
+        out = np.asarray(self.evaluator(zv), dtype=self.dtype)
         if out.shape != (self.dimension,):
             raise DimensionMismatch(
                 f"evaluator returned shape {out.shape}, expected ({self.dimension},)"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import Transformation, as_state, basis_state
+from .states import Transformation, as_state
 
 DEFAULT_STEP = 1e-5
 
@@ -52,6 +52,23 @@ class WirtingerJacobian:
         return float(np.abs(self.d_zbar).max())
 
 
+def _central_differences(transform, at: np.ndarray, step: float, unit=1.0) -> np.ndarray:
+    """Matrix whose column nu is (T(at + h e_nu) - T(at - h e_nu)) / (2 step).
+
+    The probe offset is h = unit * step: unit 1 differentiates along the
+    real axes, unit i along the imaginary ones. Costs 2n evaluations.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    return np.column_stack(
+        [
+            (transform(at + unit * step * e) - transform(at - unit * step * e))
+            / (2.0 * step)
+            for e in np.eye(transform.dimension)
+        ]
+    )
+
+
 def wirtinger_jacobian(
     transform: Transformation, at, step: float = DEFAULT_STEP
 ) -> WirtingerJacobian:
@@ -62,20 +79,10 @@ def wirtinger_jacobian(
     differentiable maps. Raises NonFiniteEvaluation if any probe returns
     NaN/Inf and DimensionMismatch if the evaluator changes dimension.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     z = as_state(at, transform.dimension)
-    n = transform.dimension
-    d_z = np.empty((n, n), dtype=np.complex128)
-    d_zbar = np.empty((n, n), dtype=np.complex128)
-    for nu in range(n):
-        e = basis_state(n, nu)
-        df_dx = (transform(z + step * e) - transform(z - step * e)) / (2.0 * step)
-        df_dy = (transform(z + 1j * step * e) - transform(z - 1j * step * e)) / (
-            2.0 * step
-        )
-        d_z[:, nu] = 0.5 * (df_dx - 1j * df_dy)
-        d_zbar[:, nu] = 0.5 * (df_dx + 1j * df_dy)
+    df_dx = _central_differences(transform, z, step)
+    df_dy = _central_differences(transform, z, step, 1j)
+    d_z, d_zbar = 0.5 * (df_dx - 1j * df_dy), 0.5 * (df_dx + 1j * df_dy)
     return WirtingerJacobian(d_z=d_z, d_zbar=d_zbar, at=z, step=float(step))
 
 
@@ -141,21 +148,12 @@ def analyticity_test(
     )
 
 
-def real_jacobian(transform, at: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Central-difference Jacobian of a real map (x-direction probing only).
+def real_jacobian(transform, at, step: float = DEFAULT_STEP) -> np.ndarray:
+    """Central-difference Jacobian of a real map: the x-half of the stencil.
 
-    `transform` is any callable with a `dimension` attribute mapping real
-    vectors to real vectors; shared by the real Euclidean analysis.
+    `transform` maps float64 vectors on R^n to float64 vectors, like a
+    `RealTransformation`; shared by the real Euclidean analysis.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    n = transform.dimension
-    at = np.asarray(at, dtype=np.float64)
-    jac = np.empty((n, n), dtype=np.float64)
-    for nu in range(n):
-        e = np.zeros(n, dtype=np.float64)
-        e[nu] = 1.0
-        jac[:, nu] = (transform(at + step * e) - transform(at - step * e)) / (
-            2.0 * step
-        )
-    return jac
+    return _central_differences(
+        transform, as_state(at, transform.dimension, np.float64), step
+    )

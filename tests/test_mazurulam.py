@@ -41,7 +41,7 @@ def test_scaling_rejected():
 
 def test_rotation_matrix_recovered():
     transform, matrix = rotation(np.pi / 4)
-    recovered = wg.reconstruct_orthogonal(transform, tol=1e-9)
+    recovered = wg.reconstruct_orthogonal(transform, tol=1e-9).matrix
     expected = np.array(
         [[np.sqrt(2) / 2, -np.sqrt(2) / 2], [np.sqrt(2) / 2, np.sqrt(2) / 2]]
     )
@@ -51,13 +51,13 @@ def test_rotation_matrix_recovered():
 
 def test_identity_recovered():
     transform = wg.RealTransformation(lambda u: u, 3)
-    assert np.abs(wg.reconstruct_orthogonal(transform) - np.eye(3)).max() < 1e-10
+    assert np.abs(wg.reconstruct_orthogonal(transform).matrix - np.eye(3)).max() < 1e-10
 
 
 def test_random_orthogonal_recovered():
     q = wg.haar_orthogonal(6, 7)
     transform = wg.RealTransformation(lambda u: q @ u, 6)
-    recovered = wg.reconstruct_orthogonal(transform, tol=1e-9)
+    recovered = wg.reconstruct_orthogonal(transform, tol=1e-9).matrix
     assert np.abs(recovered - q).max() < 1e-9
 
 
@@ -90,7 +90,7 @@ def test_norm_preservation():
     q = wg.haar_orthogonal(4, 17)
     recovered = wg.reconstruct_orthogonal(
         wg.RealTransformation(lambda u: q @ u, 4)
-    )
+    ).matrix
     rng = np.random.default_rng(7)
     for _ in range(20):
         v = rng.standard_normal(4)
