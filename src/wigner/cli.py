@@ -386,7 +386,9 @@ def _as_real_transformation(transform) -> RealTransformation:
             )
         return out.real
 
-    return RealTransformation(evaluator=evaluator, dimension=transform.dimension)
+    return RealTransformation(
+        evaluator=evaluator, dimension=transform.dimension, vectorized=True
+    )
 
 
 def _cmd_mazur_ulam(args) -> tuple[int, dict]:

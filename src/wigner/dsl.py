@@ -33,14 +33,14 @@ expression for Tk, `mat(U)` reads row k of U*z. Matrices live in a
 separate JSON constants file mapping names to row-major n x n matrices
 whose entries are [re, im] pairs.
 
-Trees evaluate in double-precision complex arithmetic, associating left
-to right as parsed; conj/re/im/abs2 read the actual conjugate of the
-input, which is what makes the conj-free fragment exactly the analytic
-one. Division is the only partial operation: divisors of modulus below
-1e-300 raise DivisionNearZero.
+Trees evaluate in double-precision complex arithmetic over numpy arrays,
+one batch of points at a time, associating left to right as parsed;
+conj/re/im/abs2 read the actual conjugate of the input, which is what
+makes the conj-free fragment exactly the analytic one. Division is the
+only partial operation: a divisor of modulus below 1e-300 at any point of
+the batch raises DivisionNearZero.
 """
 
-import cmath
 import json
 import re as _re
 from dataclasses import dataclass, field
@@ -386,6 +386,9 @@ def parse(source: str) -> TransformSpec:
 # evaluation
 
 class _EvalContext:
+    """The input points (one (n,) point or an (m, n) batch) and their
+    shared subterms; every node evaluates over the leading batch axes."""
+
     __slots__ = ("z", "row", "mats", "matvecs", "norm2")
 
     def __init__(self, z: np.ndarray, mats: dict):
@@ -393,23 +396,23 @@ class _EvalContext:
         self.row = 0
         self.mats = mats
         self.matvecs: dict[str, np.ndarray] = {}
-        self.norm2 = complex(float(np.vdot(z, z).real))
+        self.norm2 = (z.real * z.real + z.imag * z.imag).sum(axis=-1)
 
     def matvec(self, name: str) -> np.ndarray:
         got = self.matvecs.get(name)
         if got is None:
             if name not in self.mats:
                 raise UnknownMatrix(f"matrix {name!r} not found in constants")
-            got = self.mats[name] @ self.z
+            got = self.z @ self.mats[name].T
             self.matvecs[name] = got
         return got
 
 
-def _eval(node, ctx: _EvalContext) -> complex:
+def _eval(node, ctx: _EvalContext):
     if isinstance(node, Literal):
         return node.value
     if isinstance(node, Var):
-        return complex(ctx.z[node.index - 1])
+        return ctx.z[..., node.index - 1]
     if isinstance(node, Neg):
         return -_eval(node.operand, ctx)
     if isinstance(node, BinOp):
@@ -421,33 +424,33 @@ def _eval(node, ctx: _EvalContext) -> complex:
             return left - right
         if node.op == "*":
             return left * right
-        if abs(right) < _DIVISOR_FLOOR:
+        if np.any(np.abs(right) < _DIVISOR_FLOOR):
             raise DivisionNearZero(
                 f"divisor modulus below {_DIVISOR_FLOOR:g}", *node.pos
             )
         return left / right
     if isinstance(node, MatApply):
-        return complex(ctx.matvec(node.name)[ctx.row])
+        return ctx.matvec(node.name)[..., ctx.row]
     func = node.func
     if func == "norm2":
         return ctx.norm2
     val = _eval(node.args[0], ctx)
     if func == "conj":
-        return val.conjugate()
+        return np.conj(val)
     if func == "re":
-        return complex(val.real)
+        return np.real(val)
     if func == "im":
-        return complex(val.imag)
+        return np.imag(val)
     if func == "abs2":
-        return complex(val.real * val.real + val.imag * val.imag)
+        return val.real * val.real + val.imag * val.imag
     if func == "exp":
-        return cmath.exp(val)
+        return np.exp(val)
     if func == "sin":
-        return cmath.sin(val)
+        return np.sin(val)
     if func == "cos":
-        return cmath.cos(val)
+        return np.cos(val)
     # expi
-    return cmath.exp(1j * val)
+    return np.exp(1j * val)
 
 
 def _prepare_constants(spec: TransformSpec, constants) -> dict:
@@ -477,21 +480,25 @@ def compile_to_transformation(spec: TransformSpec, constants=None) -> Transforma
 
     Matrix references are resolved once, up front (UnknownMatrix /
     DimensionMismatch surface here, not at evaluation time); the returned
-    evaluator is immutable and safe for concurrent callers.
+    evaluator is vectorized, immutable and safe for concurrent callers.
+    Floating-point overflow is not warned about: it yields Inf or NaN,
+    which the Transformation call rejects as NonFiniteEvaluation.
     """
     mats = _prepare_constants(spec, constants)
     outputs = spec.outputs
-    dim = spec.dimension
 
     def evaluator(zv: np.ndarray) -> np.ndarray:
-        ctx = _EvalContext(zv, mats)
-        out = np.empty(dim, dtype=np.complex128)
-        for k, tree in enumerate(outputs):
-            ctx.row = k
-            out[k] = _eval(tree, ctx)
+        out = np.empty(zv.shape, dtype=np.complex128)
+        with np.errstate(all="ignore"):
+            ctx = _EvalContext(zv, mats)
+            for k, tree in enumerate(outputs):
+                ctx.row = k
+                out[..., k] = _eval(tree, ctx)
         return out
 
-    return Transformation(evaluator=evaluator, dimension=dim, source=spec.source)
+    return Transformation(
+        evaluator=evaluator, dimension=spec.dimension, source=spec.source, vectorized=True
+    )
 
 
 def parse_constant(text: str) -> complex:
@@ -513,8 +520,8 @@ def parse_constant(text: str) -> complex:
                 "constant expressions cannot reference the state",
                 *getattr(sub, "pos", (1, 1)),
             )
-    ctx = _EvalContext(np.zeros(1, dtype=np.complex128), {})
-    return _eval(node, ctx)
+    with np.errstate(all="ignore"):
+        return complex(_eval(node, _EvalContext(np.zeros(1, dtype=np.complex128), {})))
 
 
 # ---------------------------------------------------------------------------

@@ -93,8 +93,7 @@ def extract_theta(
         raise DegeneratePair(
             f"|<w|z>| = {abs(overlap):.3g} at or below threshold {bound:.3g}"
         )
-    tw = transform(w)
-    tz = transform(z)
+    tw, tz = transform(np.stack([w, z]))
     if branch == "A":
         theta = _theta_from(complex(np.vdot(tw, tz)), overlap, preserve_tol)
     elif branch == "B":
@@ -118,19 +117,19 @@ def origin_phase(
 
     Probes at eps, eps/2 and eps/4 and extrapolates to eps = 0 with a
     second-order Richardson combination, computed on wrapped increments so
-    branch-cut crossings cannot corrupt it.
+    branch-cut crossings cannot corrupt it. The point and its three probes
+    are evaluated as one batch; at z = 0 nothing is evaluated.
     """
     z = as_state(z, transform.dimension)
-    tz = transform(z)
     denom_base = float(np.vdot(z, z).real)  # eps * |z|^2 is the probe overlap
     if denom_base == 0.0:
         return 0.0
-    thetas = []
-    for eps in (probe_scale, probe_scale / 2.0, probe_scale / 4.0):
-        tw = transform(eps * z)
-        thetas.append(
-            _theta_from(complex(np.vdot(tw, tz)), eps * denom_base, preserve_tol)
-        )
+    scales = (probe_scale, probe_scale / 2.0, probe_scale / 4.0)
+    tz, *probes = transform(np.array((1.0,) + scales)[:, None] * z)
+    thetas = [
+        _theta_from(complex(np.vdot(tw, tz)), eps * denom_base, preserve_tol)
+        for eps, tw in zip(scales, probes)
+    ]
     d1 = wrap_angle(thetas[1] - thetas[0])
     d2 = wrap_angle(thetas[2] - thetas[1])
     return wrap_angle(thetas[0] + (2.0 * d1 + 8.0 * d2) / 3.0)
@@ -163,7 +162,9 @@ def gauge_fix(
 
     The wrapped evaluator returns exactly 0 at z = 0 and
     exp(i*alpha(z)) * T(z) elsewhere, with alpha(z) = -origin_phase(z)
-    memoized per queried point (thread-safe, as-if-pure).
+    memoized per queried point (thread-safe, as-if-pure). On a batch it
+    skips the zero rows, looks up or probes alpha row by row, and
+    evaluates T once on the remaining rows.
     """
     if not 1e-8 <= probe_scale <= 1e-2:
         raise ValueError("probe_scale must lie in [1e-8, 1e-2]")
@@ -190,14 +191,20 @@ def gauge_fix(
         return value
 
     def evaluator(zv: np.ndarray) -> np.ndarray:
-        if not zv.any():
-            return zero_state(n)
-        return np.exp(1j * alpha(zv)) * transform(zv)
+        rows = zv.reshape(-1, n)
+        out = np.zeros_like(rows)
+        live = rows.any(axis=1)
+        if live.any():
+            points = rows[live]
+            phases = np.array([alpha(p) for p in points])
+            out[live] = np.exp(1j * phases)[:, None] * transform(points)
+        return out.reshape(zv.shape)
 
     fixed = GaugeFixedTransformation(
         evaluator=evaluator,
         dimension=n,
         source=transform.source,
+        vectorized=True,
         base=transform,
         probe_scale=probe_scale,
     )

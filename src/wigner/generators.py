@@ -74,20 +74,26 @@ class DressingSpec:
         coefficients = rng.uniform(-1.0, 1.0, size=(ridges, degree + 1))
         return cls(degree=degree, directions=directions, coefficients=coefficients, seed=seed)
 
-    def __call__(self, z: np.ndarray) -> float:
-        x = np.concatenate([z.real, z.imag])
-        ridge = self.directions @ x
-        total = 0.0
-        for r in range(self.coefficients.shape[0]):
-            total += np.polyval(self.coefficients[r, ::-1], ridge[r])
-        return float(total)
+    def __call__(self, z: np.ndarray):
+        """alpha at a point (a float) or at each row of an (m, n) batch."""
+        x = np.concatenate([z.real, z.imag], axis=-1)
+        # einsum, not a matrix product, so a row's ridge values do not
+        # depend on the batch it came in
+        ridge = np.einsum("...k,rk->...r", x, self.directions)
+        value = 0.0
+        for c in self.coefficients[:, ::-1].T:  # Horner, highest power first
+            value = value * ridge + c
+        total = value.sum(axis=-1)
+        return float(total) if z.ndim == 1 else total
 
 
 def make_symmetry(kind: str, matrix, dressing=None) -> Transformation:
     """Build z -> exp(i*alpha(z)) * U z (linear) or ... * U conj(z) (antilinear).
 
     `dressing` is any callable z -> real alpha (a DressingSpec, typically),
-    or None for no dressing. The matrix must be unitary within 1e-10.
+    or None for no dressing. The matrix must be unitary within 1e-10. The
+    map is vectorized unless the dressing is some other callable, which is
+    then handed one point at a time.
     """
     if kind not in SYMMETRY_KINDS:
         raise ValueError(f"kind must be one of {SYMMETRY_KINDS}, got {kind!r}")
@@ -99,22 +105,20 @@ def make_symmetry(kind: str, matrix, dressing=None) -> Transformation:
     if residual > 1e-10:
         raise NotUnitaryInput(f"|U*U - I| = {residual:.3g} exceeds 1e-10")
 
-    if kind == "linear":
-        if dressing is None:
-            evaluator = lambda z: u @ z
-        else:
-            evaluator = lambda z: np.exp(1j * dressing(z)) * (u @ z)
+    flip = np.conj if kind == "antilinear" else np.asarray
+    if dressing is None:
+        evaluator = lambda z: flip(z) @ u.T
     else:
-        if dressing is None:
-            evaluator = lambda z: u @ np.conj(z)
-        else:
-            evaluator = lambda z: np.exp(1j * dressing(z)) * (u @ np.conj(z))
+        evaluator = lambda z: np.exp(1j * np.asarray(dressing(z)))[..., None] * (
+            flip(z) @ u.T
+        )
 
     degree = getattr(dressing, "degree", None)
     return Transformation(
         evaluator=evaluator,
         dimension=n,
         ground_truth={"kind": kind, "matrix": u, "dressing_degree": degree},
+        vectorized=dressing is None or isinstance(dressing, DressingSpec),
     )
 
 
@@ -138,16 +142,20 @@ def make_adversary(kind: str, n: int, seed: int) -> Transformation:
         strength = 0.5 + np.random.default_rng(seed).uniform(0.0, 1.0)
         shear = np.eye(n, dtype=np.complex128)
         shear[0, 1] = strength
-        evaluator = lambda z: shear @ z
+        evaluator = lambda z: z @ shear.T
     elif kind == "norm_warp":
-        evaluator = lambda z: z * (1.0 + float(np.vdot(z, z).real))
+        evaluator = lambda z: z * (
+            1.0 + (z.real**2 + z.imag**2).sum(axis=-1, keepdims=True)
+        )
     else:  # rank_deficient
         def evaluator(z):
             out = np.zeros_like(z)
-            out[0] = z[0]
+            out[..., 0] = z[..., 0]
             return out
 
-    return Transformation(evaluator=evaluator, dimension=n, ground_truth={"kind": kind})
+    return Transformation(
+        evaluator=evaluator, dimension=n, ground_truth={"kind": kind}, vectorized=True
+    )
 
 
 def is_symmetry_kind(kind: str) -> bool:

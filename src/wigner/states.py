@@ -39,20 +39,27 @@ def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 class Transformation:
     """An evaluatable map z -> T(z) on C^n.
 
-    Points and images are vectors of the class attribute `dtype`,
-    complex128 here; a subclass for a real space sets float64. Every call
-    coerces the point and the evaluator's result to `dtype` and checks
-    their dimension and finiteness. The evaluator must be deterministic
-    and safe to call from several threads at once. `source` carries the
-    defining expression text when the map was compiled from a file.
-    `ground_truth` is generator bookkeeping (the kind and matrix an
-    instance was built from); analysis code never reads it.
+    A call takes one point of shape (n,) or a batch of m points of shape
+    (m, n) and returns images of the same shape. Points and images are
+    arrays of the class attribute `dtype`, complex128 here; a subclass
+    for a real space sets float64. Every call coerces the points and the
+    evaluator's result to `dtype` and checks their width, shape and
+    finiteness. With `vectorized` set the evaluator receives the batch
+    whole and must map each row (the last axis) on its own; otherwise it
+    is called once per row, so a per-point evaluator such as
+    `lambda z: u @ z` stays correct on a batch. The evaluator must be
+    deterministic and safe to call from several threads at once.
+    `source` carries the defining expression text when the map was
+    compiled from a file. `ground_truth` is generator bookkeeping (the
+    kind and matrix an instance was built from); analysis code never
+    reads it.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     dimension: int
     source: str | None = None
     ground_truth: dict | None = None
+    vectorized: bool = False
 
     dtype = np.complex128
 
@@ -61,12 +68,29 @@ class Transformation:
             raise DimensionMismatch("dimension must be at least 1")
 
     def __call__(self, z) -> np.ndarray:
-        zv = as_state(z, self.dimension, self.dtype)
-        out = np.asarray(self.evaluator(zv), dtype=self.dtype)
-        if out.shape != (self.dimension,):
+        zv = np.asarray(z, dtype=self.dtype)
+        if zv.ndim == 0:
+            zv = zv.reshape(1)
+        if zv.ndim > 2 or zv.shape[-1] != self.dimension:
             raise DimensionMismatch(
-                f"evaluator returned shape {out.shape}, expected ({self.dimension},)"
+                f"expected points of dimension {self.dimension}, got shape {zv.shape}"
             )
+        if not np.isfinite(zv).all():
+            raise NonFiniteEvaluation("state vector has non-finite components")
+        if zv.ndim == 1 or self.vectorized:
+            out = np.asarray(self.evaluator(zv), dtype=self.dtype)
+        else:
+            out = np.empty_like(zv)
+            for k, row in enumerate(zv):
+                image = np.asarray(self.evaluator(row), dtype=self.dtype)
+                _check_shape(image, row.shape)
+                out[k] = image
+        _check_shape(out, zv.shape)
         if not np.isfinite(out).all():
             raise NonFiniteEvaluation("evaluator returned non-finite components")
         return out
+
+
+def _check_shape(out: np.ndarray, expected: tuple) -> None:
+    if out.shape != expected:
+        raise DimensionMismatch(f"evaluator returned shape {out.shape}, expected {expected}")

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
+import pytest
 
 import wigner as wg
 from wigner.cli import REPORT_SCHEMA, main
@@ -216,6 +218,39 @@ def test_mazur_ulam_complex_map_is_input_error(tmp_path, capsys):
     code, report = run_json(["mazur-ulam", "--spec", spec], capsys)
     assert code == 1
     assert report["error"] == "not_real_map"
+
+
+@pytest.mark.parametrize("command", ["classify", "check"])
+@pytest.mark.parametrize(
+    "expression", ["exp(1000000*z1) - exp(0)", "sin(1000000i*z1)", "cos(1000000i*z1) - 1"]
+)
+def test_overflowing_spec_is_non_finite_evaluation(tmp_path, capsys, command, expression):
+    spec = write_spec(tmp_path, f"dim 1;\nT1 = {expression};\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a floating-point warning would raise here
+        code, report = run_json([command, "--spec", spec], capsys)
+    assert code == 2
+    assert report["error"] == "non_finite_evaluation"
+
+
+def test_overflowing_point_constant_is_non_finite_evaluation(tmp_path, capsys):
+    spec = write_spec(tmp_path, IDENTITY)
+    code, report = run_json(["diff", "--spec", spec, "--point", "exp(1000),0"], capsys)
+    assert code == 2
+    assert report["error"] == "non_finite_evaluation"
+
+
+def test_overflowing_spec_leaves_stderr_empty(tmp_path):
+    spec = write_spec(tmp_path, "dim 1;\nT1 = exp(1000000*z1) - exp(0);\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "wigner", "classify", "--spec", spec, "--no-timestamp"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["error"] == "non_finite_evaluation"
 
 
 def test_parse_error_exit_1(tmp_path, capsys):

@@ -1,8 +1,9 @@
-"""Exact evaluator-call counts of the analysis pipelines.
+"""Exact counts of the base-map points each analysis pipeline evaluates.
 
-The counts are deterministic and do not depend on the machine, so they pin
-how often each pipeline evaluates the base map. A change that alters one
-must update the pin and say why.
+Points, not evaluator calls, are counted: an (m, n) batch counts m, so
+the pins do not depend on how the pipelines batch their points. The
+counts are deterministic and do not depend on the machine. A change that
+alters one must update the pin and say why.
 """
 
 import numpy as np
@@ -20,52 +21,52 @@ ROTATION = (
 )
 
 
-def count_calls(transform):
-    """Wrap the evaluator of `transform`; the returned list holds the call count."""
-    calls = [0]
+def count_points(transform):
+    """Wrap the evaluator of `transform`; the returned list holds the point count."""
+    points = [0]
     inner = transform.evaluator
 
     def evaluator(z):
-        calls[0] += 1
+        points[0] += len(z) if np.ndim(z) == 2 else 1
         return inner(z)
 
     transform.evaluator = evaluator
-    return calls
+    return points
 
 
 def test_classify_dressed_linear_n4():
     transform = wg.make_symmetry(
         "linear", wg.haar_unitary(4, 7), wg.DressingSpec.random(4, 2, 8)
     )
-    calls = count_calls(transform)
+    points = count_points(transform)
     assert wg.classify(transform).branch == "linear"
-    assert calls[0] == 1039
+    assert points[0] == 1039
 
 
 def test_classify_scaling_rejected():
     transform = wg.make_adversary("scaling", 4, 1)
-    calls = count_calls(transform)
+    points = count_points(transform)
     with pytest.raises(NotASymmetry):
         wg.classify(transform)
-    assert calls[0] == 116
+    assert points[0] == 116
 
 
 def test_reconstruct_orthogonal_n4():
     q = wg.haar_orthogonal(4, 7)
     transform = wg.RealTransformation(lambda u: q @ u, 4)
-    calls = count_calls(transform)
+    points = count_points(transform)
     assert np.abs(wg.reconstruct_orthogonal(transform).matrix - q).max() < 1e-9
     # 2 x 103 isometry pairs, the origin, 3 real Jacobians of 8, 50 points
-    assert calls[0] == 281
+    assert points[0] == 281
 
 
 def test_cli_mazur_ulam_checks_isometry_once(tmp_path, monkeypatch, capsys):
     compile_spec = dsl.compile_to_transformation
-    calls = []
+    counters = []
 
     def compile_counted(spec, constants=None):
         transform = compile_spec(spec, constants)
-        calls.append(count_calls(transform))
+        counters.append(count_points(transform))
         return transform
 
     monkeypatch.setattr(dsl, "compile_to_transformation", compile_counted)
@@ -75,4 +76,4 @@ def test_cli_mazur_ulam_checks_isometry_once(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     # 2 x 53 isometry pairs, the origin, 3 real Jacobians of 4, 50 points;
     # checking the isometry twice would add another 106
-    assert [c[0] for c in calls] == [169]
+    assert [c[0] for c in counters] == [169]
