@@ -33,17 +33,26 @@ expression for Tk, `mat(U)` reads row k of U*z. Matrices live in a
 separate JSON constants file mapping names to row-major n x n matrices
 whose entries are [re, im] pairs.
 
-Trees evaluate in double-precision complex arithmetic over numpy arrays,
-one batch of points at a time, associating left to right as parsed;
-conj/re/im/abs2 read the actual conjugate of the input, which is what
-makes the conj-free fragment exactly the analytic one. Division is the
-only partial operation: a divisor of modulus below 1e-300 at any point of
-the batch raises DivisionNearZero.
+An expression nests at most MAX_DEPTH = 100 levels: the root is level 1,
+and each operator, unary minus, function call and parenthesised group
+adds one. A deeper one is a ParseError. Matrix entries must be finite.
+
+The n trees compile to one program that evaluates each distinct subterm
+once per batch of points, so a phase shared by every output is computed
+once. It runs in double-precision complex arithmetic over numpy arrays,
+associating left to right as parsed; conj/re/im/abs2 read the actual
+conjugate of the input, which is what makes the conj-free fragment
+exactly the analytic one. Division is the only partial operation: a
+divisor of modulus below 1e-300 at any point of the batch raises
+DivisionNearZero, located at the first such division in output order.
 """
 
 import json
+import operator
 import re as _re
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -57,19 +66,24 @@ from .errors import (
 )
 from .states import Transformation
 
+#: Each function's operation; norm2 takes no argument and reads the points.
 FUNCTIONS = {
-    "conj": 1,
-    "re": 1,
-    "im": 1,
-    "abs2": 1,
-    "norm2": 0,
-    "exp": 1,
-    "sin": 1,
-    "cos": 1,
-    "expi": 1,
+    "conj": np.conj,
+    "re": np.real,
+    "im": np.imag,
+    "abs2": lambda v: v.real * v.real + v.imag * v.imag,
+    "norm2": lambda z: (z.real * z.real + z.imag * z.imag).sum(axis=-1),
+    "exp": np.exp,
+    "sin": np.sin,
+    "cos": np.cos,
+    "expi": lambda v: np.exp(1j * v),
 }
 
 _DIVISOR_FLOOR = 1e-300
+
+#: Deepest expression level the parser accepts; recursive tree code
+#: (dataclass ==/hash, format_expression) stays within Python's limit.
+MAX_DEPTH = 100
 
 
 # ---------------------------------------------------------------------------
@@ -114,17 +128,22 @@ class BinOp:
     pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
+_OPERANDS = {
+    Call: operator.attrgetter("args"),
+    Neg: lambda node: (node.operand,),
+    BinOp: operator.attrgetter("left", "right"),
+}
+
+
 def walk(node):
-    """Yield every node of a tree, depth first."""
-    yield node
-    if isinstance(node, Call):
-        for arg in node.args:
-            yield from walk(arg)
-    elif isinstance(node, Neg):
-        yield from walk(node.operand)
-    elif isinstance(node, BinOp):
-        yield from walk(node.left)
-        yield from walk(node.right)
+    """Yield every node of a tree, depth first, left to right."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        operands = _OPERANDS.get(type(node))
+        if operands is not None:
+            stack.extend(reversed(operands(node)))
 
 
 @dataclass(frozen=True)
@@ -140,13 +159,6 @@ class TransformSpec:
         return frozenset(
             node.name for out in self.outputs for node in walk(out)
             if isinstance(node, MatApply)
-        )
-
-    @property
-    def has_division(self) -> bool:
-        return any(
-            isinstance(node, BinOp) and node.op == "/"
-            for out in self.outputs for node in walk(out)
         )
 
     @property
@@ -168,16 +180,15 @@ _TOKEN_RE = _re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "number" | "ident" | "punct" | "eof"
     text: str
     line: int
     col: int
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens = []
+def _tokenize(source: str) -> Iterator[_Token]:
+    """Yield the tokens of `source`, then "eof"; lazily, so a parse never holds them all."""
     for lineno, line in enumerate(source.split("\n"), start=1):
         pos = 0
         comment = line.find("#")
@@ -189,33 +200,29 @@ def _tokenize(source: str) -> list[_Token]:
                 continue
             match = _TOKEN_RE.match(line, pos)
             if match is None:
-                raise ParseError(
-                    f"unexpected character {line[pos]!r}", lineno, pos + 1
-                )
+                raise ParseError(f"unexpected character {line[pos]!r}", lineno, pos + 1)
             kind = match.lastgroup
-            tokens.append(_Token(kind, match.group(), lineno, pos + 1))
+            yield _Token(kind, match.group(), lineno, pos + 1)
             pos = match.end()
-    last_line = source.count("\n") + 1
-    tokens.append(_Token("eof", "", last_line, 1))
-    return tokens
+    yield _Token("eof", "", source.count("\n") + 1, 1)
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], dimension: int = 0):
+    def __init__(self, tokens: Iterator[_Token], dimension: int = 0):
         self.tokens = tokens
-        self.pos = 0
+        self.current = next(tokens)  # the one token of lookahead
         self.dimension = dimension
 
     def peek(self) -> _Token:
-        return self.tokens[self.pos]
+        return self.current
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+        tok = self.current
         if tok.kind != "eof":
-            self.pos += 1
+            self.current = next(self.tokens)
         return tok
 
     def fail(self, message: str, tok: _Token, expected=()):
@@ -228,73 +235,73 @@ class _Parser:
     def expect_punct(self, text: str) -> _Token:
         tok = self.peek()
         if tok.kind != "punct" or tok.text != text:
-            self.fail(
-                f"expected {text!r}, found {self.describe(tok)}",
-                tok,
-                expected=(text,),
-            )
+            self.fail(f"expected {text!r}, found {self.describe(tok)}", tok, expected=(text,))
         return self.advance()
 
     def expect_int(self) -> tuple[int, _Token]:
         tok = self.peek()
         if tok.kind != "number" or not tok.text.isdigit():
-            self.fail(
-                f"expected an integer, found {self.describe(tok)}",
-                tok,
-                expected=("integer",),
-            )
+            self.fail(f"expected an integer, found {self.describe(tok)}", tok, ("integer",))
         self.advance()
         return int(tok.text), tok
 
-    # expression grammar: + - over * / over unary minus over atoms
-    def parse_expression(self):
-        node = self.parse_term()
+    def nest(self, tok: _Token, level: int) -> int:
+        """`level` + 1, refused at `tok` when that passes MAX_DEPTH."""
+        if level >= MAX_DEPTH:
+            self.fail(f"expression nests deeper than {MAX_DEPTH} levels", tok)
+        return level + 1
+
+    # + - over * / over unary minus over atoms. Each method parses a node at
+    # `level` (root 1) and returns it with its deepest leaf's level; `nest`
+    # keeps that within MAX_DEPTH, and an operator pushes its operands down.
+    def parse_expression(self, level: int = 1):
+        node, reach = self.parse_term(level)
         while self.peek().kind == "punct" and self.peek().text in "+-":
             op = self.advance()
-            right = self.parse_term()
+            right, right_reach = self.parse_term(level)
+            reach = self.nest(op, max(reach, right_reach))
             node = BinOp(op.text, node, right, pos=(op.line, op.col))
-        return node
+        return node, reach
 
-    def parse_term(self):
-        node = self.parse_factor()
+    def parse_term(self, level: int):
+        node, reach = self.parse_factor(level)
         while self.peek().kind == "punct" and self.peek().text in "*/":
             op = self.advance()
-            right = self.parse_factor()
+            right, right_reach = self.parse_factor(level)
+            reach = self.nest(op, max(reach, right_reach))
             node = BinOp(op.text, node, right, pos=(op.line, op.col))
-        return node
+        return node, reach
 
-    def parse_factor(self):
+    def parse_factor(self, level: int):
         tok = self.peek()
         if tok.kind == "punct" and tok.text == "-":
             self.advance()
-            return Neg(self.parse_factor(), pos=(tok.line, tok.col))
-        return self.parse_atom()
+            node, reach = self.parse_factor(self.nest(tok, level))
+            return Neg(node, pos=(tok.line, tok.col)), reach
+        return self.parse_atom(level)
 
-    def parse_atom(self):
+    def parse_atom(self, level: int):
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
             if tok.text.endswith("i"):
-                return Literal(complex(0.0, float(tok.text[:-1])), pos=(tok.line, tok.col))
-            return Literal(complex(float(tok.text), 0.0), pos=(tok.line, tok.col))
+                return Literal(complex(0.0, float(tok.text[:-1])), pos=(tok.line, tok.col)), level
+            return Literal(complex(float(tok.text), 0.0), pos=(tok.line, tok.col)), level
         if tok.kind == "punct" and tok.text == "(":
             self.advance()
-            node = self.parse_expression()
+            node = self.parse_expression(self.nest(tok, level))
             self.expect_punct(")")
             return node
         if tok.kind == "ident":
-            return self.parse_identifier()
-        self.fail(
-            f"expected an expression, found {self.describe(tok)}",
-            tok,
-            expected=("number", "identifier", "(", "-"),
-        )
+            return self.parse_identifier(level)
+        expected = ("number", "identifier", "(", "-")
+        self.fail(f"expected an expression, found {self.describe(tok)}", tok, expected)
 
-    def parse_identifier(self):
+    def parse_identifier(self, level: int):
         tok = self.advance()
         name = tok.text
         if name == "i":
-            return Literal(1j, pos=(tok.line, tok.col))
+            return Literal(1j, pos=(tok.line, tok.col)), level
         if name == "mat":
             self.expect_punct("(")
             ident = self.peek()
@@ -302,31 +309,24 @@ class _Parser:
                 self.fail("expected a matrix name", ident, expected=("name",))
             self.advance()
             self.expect_punct(")")
-            return MatApply(ident.text, pos=(tok.line, tok.col))
+            return MatApply(ident.text, pos=(tok.line, tok.col)), level
         if name in FUNCTIONS:
-            arity = FUNCTIONS[name]
             self.expect_punct("(")
-            args = ()
-            if arity == 1:
-                args = (self.parse_expression(),)
+            args, reach = (), level
+            if name != "norm2":
+                arg, reach = self.parse_expression(self.nest(tok, level))
+                args = (arg,)
             self.expect_punct(")")
-            return Call(name, args, pos=(tok.line, tok.col))
+            return Call(name, args, pos=(tok.line, tok.col)), reach
         var = _re.fullmatch(r"z([1-9][0-9]*)", name)
         if var:
             index = int(var.group(1))
             if self.dimension and index > self.dimension:
-                raise UnknownIdentifier(
-                    f"variable z{index} out of range for dimension {self.dimension}",
-                    tok.line,
-                    tok.col,
-                )
-            return Var(index, pos=(tok.line, tok.col))
-        raise UnknownIdentifier(
-            f"unknown identifier {name!r}",
-            tok.line,
-            tok.col,
-            expected=tuple(sorted(FUNCTIONS)) + ("mat", "i", "z<k>"),
-        )
+                message = f"variable z{index} out of range for dimension {self.dimension}"
+                raise UnknownIdentifier(message, tok.line, tok.col)
+            return Var(index, pos=(tok.line, tok.col)), level
+        expected = tuple(sorted(FUNCTIONS)) + ("mat", "i", "z<k>")
+        raise UnknownIdentifier(f"unknown identifier {name!r}", tok.line, tok.col, expected)
 
 
 def parse(source: str) -> TransformSpec:
@@ -352,21 +352,16 @@ def parse(source: str) -> TransformSpec:
         tok = parser.peek()
         target = _re.fullmatch(r"T([1-9][0-9]*)", tok.text) if tok.kind == "ident" else None
         if target is None:
-            parser.fail(
-                f"expected an output assignment 'T<k> = ...;', found {tok.text!r}",
-                tok,
-                expected=("T<k>",),
-            )
+            found = f"found {tok.text!r}"
+            parser.fail(f"expected an output assignment 'T<k> = ...;', {found}", tok, ("T<k>",))
         index = int(target.group(1))
         if index > dimension:
-            raise DimensionMismatch(
-                f"output T{index} out of range for dimension {dimension}"
-            )
+            raise DimensionMismatch(f"output T{index} out of range for dimension {dimension}")
         if index in outputs:
             raise ParseError(f"output T{index} assigned twice", tok.line, tok.col)
         parser.advance()
         parser.expect_punct("=")
-        outputs[index] = parser.parse_expression()
+        outputs[index] = parser.parse_expression()[0]
         parser.expect_punct(";")
 
     if set(outputs) != set(range(1, dimension + 1)):
@@ -375,99 +370,104 @@ def parse(source: str) -> TransformSpec:
             f"{len(outputs)} outputs for dimension {dimension}"
             + (f" (missing T{missing[0]})" if missing else "")
         )
-    return TransformSpec(
-        dimension=dimension,
-        outputs=tuple(outputs[k] for k in range(1, dimension + 1)),
-        source=source,
-    )
+    return TransformSpec(dimension, tuple(outputs[k] for k in range(1, dimension + 1)), source)
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
-class _EvalContext:
-    """The input points (one (n,) point or an (m, n) batch) and their
-    shared subterms; every node evaluates over the leading batch axes."""
-
-    __slots__ = ("z", "row", "mats", "matvecs", "norm2")
-
-    def __init__(self, z: np.ndarray, mats: dict):
-        self.z = z
-        self.row = 0
-        self.mats = mats
-        self.matvecs: dict[str, np.ndarray] = {}
-        self.norm2 = (z.real * z.real + z.imag * z.imag).sum(axis=-1)
-
-    def matvec(self, name: str) -> np.ndarray:
-        got = self.matvecs.get(name)
-        if got is None:
-            if name not in self.mats:
-                raise UnknownMatrix(f"matrix {name!r} not found in constants")
-            got = self.z @ self.mats[name].T
-            self.matvecs[name] = got
-        return got
+def _divide(pos: tuple[int, int], left, right):
+    if np.any(np.abs(right) < _DIVISOR_FLOOR):
+        raise DivisionNearZero(f"divisor modulus below {_DIVISOR_FLOOR:g}", *pos)
+    return left / right
 
 
-def _eval(node, ctx: _EvalContext):
-    if isinstance(node, Literal):
-        return node.value
-    if isinstance(node, Var):
-        return ctx.z[..., node.index - 1]
-    if isinstance(node, Neg):
-        return -_eval(node.operand, ctx)
-    if isinstance(node, BinOp):
-        left = _eval(node.left, ctx)
-        right = _eval(node.right, ctx)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if np.any(np.abs(right) < _DIVISOR_FLOOR):
-            raise DivisionNearZero(
-                f"divisor modulus below {_DIVISOR_FLOOR:g}", *node.pos
-            )
-        return left / right
-    if isinstance(node, MatApply):
-        return ctx.matvec(node.name)[..., ctx.row]
-    func = node.func
-    if func == "norm2":
-        return ctx.norm2
-    val = _eval(node.args[0], ctx)
-    if func == "conj":
-        return np.conj(val)
-    if func == "re":
-        return np.real(val)
-    if func == "im":
-        return np.imag(val)
-    if func == "abs2":
-        return val.real * val.real + val.imag * val.imag
-    if func == "exp":
-        return np.exp(val)
-    if func == "sin":
-        return np.sin(val)
-    if func == "cos":
-        return np.cos(val)
-    # expi
-    return np.exp(1j * val)
+_STEPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "neg": operator.neg}
+_STEPS.update(FUNCTIONS)
 
 
-def _prepare_constants(spec: TransformSpec, constants) -> dict:
-    mats = {}
-    needed = spec.matrix_names
-    available = constants or {}
-    for name in sorted(needed):
+def _program(trees, constants=None) -> tuple:
+    """Lower output trees, tree k defining output row k, to one program.
+
+    The program is (values, steps, roots): slot 0 of `values` takes the
+    points, literal and matrix slots hold constants, and a step (slot, fn,
+    a, b) stores fn(values[a]) (b < 0) or fn(values[a], values[b]). Each
+    distinct subterm, keyed by its kind and its operands' slots, is one
+    step, in the order the trees first reach it; `mat(NAME)` is one shared
+    `z @ M.T` step plus a column step per row. Output k is `roots[k]`.
+    """
+    slots: dict[tuple, int] = {}  # (tag, operand slot, operand slot or column)
+    values: list = [None]
+    steps: list[tuple] = []
+    products: dict[str, int] = {}  # matrix name -> slot of z @ M.T; M.T is one before
+
+    def add(fn, a=-1, b=-1, value=None) -> int:
+        values.append(value)
+        if fn is not None:
+            steps.append((len(values) - 1, fn, a, b))
+        return len(values) - 1
+
+    roots = []
+    for row, tree in enumerate(trees):
+        order, stack = [], [tree]
+        while stack:  # each node before its operands, right ones first
+            node = stack.pop()
+            order.append(node)
+            operands = _OPERANDS.get(type(node))
+            if operands is not None:
+                stack.extend(operands(node))
+        done: list[int] = []  # slots of the finished operands
+        for node in reversed(order):
+            kind = type(node)
+            if kind is BinOp:
+                right = done.pop()
+                key = (node.op, done.pop(), right)
+            elif kind is Call:
+                key = (node.func, done.pop() if node.args else 0, -1)  # norm2() reads slot 0
+            elif kind is Var:
+                key = ("col", 0, node.index - 1)
+            elif kind is MatApply:
+                product = products.get(node.name)
+                if product is None:
+                    product = products[node.name] = add(operator.matmul, 0, add(None))
+                key = ("col", product, row)
+            elif kind is Neg:
+                key = ("neg", done.pop(), -1)
+            else:
+                key = ("lit", repr(node.value), -1)
+            got = slots.get(key)
+            if got is None:
+                tag, a, b = key
+                if tag == "lit":
+                    got = add(None, value=node.value)
+                elif tag == "col":
+                    got = add(operator.itemgetter((..., b)), a)
+                else:
+                    got = add(partial(_divide, node.pos) if tag == "/" else _STEPS[tag], a, b)
+                slots[key] = got
+            done.append(got)
+        roots.append(done[0])
+    available, shape = constants or {}, (len(trees), len(trees))
+    for name in sorted(products):
         if name not in available:
             raise UnknownMatrix(f"matrix {name!r} not found in constants")
         m = np.asarray(available[name], dtype=np.complex128)
-        if m.shape != (spec.dimension, spec.dimension):
-            raise DimensionMismatch(
-                f"matrix {name!r} has shape {m.shape}, expected "
-                f"({spec.dimension}, {spec.dimension})"
-            )
-        mats[name] = m
-    return mats
+        if m.shape != shape:
+            raise DimensionMismatch(f"matrix {name!r} has shape {m.shape}, expected {shape}")
+        if not np.isfinite(m).all():
+            raise SchemaError(f"matrix {name!r} has a non-finite entry")
+        values[products[name] - 1] = m.T
+    return values, steps, roots
+
+
+def _run(program: tuple, z) -> list:
+    """Run `program` on the points `z`; returns the value of every output."""
+    values, steps, roots = program
+    values = values.copy()
+    values[0] = z
+    for out, fn, a, b in steps:
+        values[out] = fn(values[a]) if b < 0 else fn(values[a], values[b])
+    return [values[r] for r in roots]
 
 
 def evaluate(spec: TransformSpec, z, constants=None) -> np.ndarray:
@@ -476,24 +476,24 @@ def evaluate(spec: TransformSpec, z, constants=None) -> np.ndarray:
 
 
 def compile_to_transformation(spec: TransformSpec, constants=None) -> Transformation:
-    """Close the spec over its resolved constants as a reusable Transformation.
+    """Compile the spec, closed over its resolved constants, to a Transformation.
 
     Matrix references are resolved once, up front (UnknownMatrix /
-    DimensionMismatch surface here, not at evaluation time); the returned
-    evaluator is vectorized, immutable and safe for concurrent callers.
-    Floating-point overflow is not warned about: it yields Inf or NaN,
-    which the Transformation call rejects as NonFiniteEvaluation.
+    DimensionMismatch surface here, not at evaluation time), and the n
+    output trees are lowered to one program in which each distinct
+    subterm is evaluated once per batch: a phase shared by every output
+    is computed once, not n times. The returned evaluator is vectorized,
+    immutable and safe for concurrent callers. Floating-point overflow is
+    not warned about: it yields Inf or NaN, which the Transformation call
+    rejects as NonFiniteEvaluation.
     """
-    mats = _prepare_constants(spec, constants)
-    outputs = spec.outputs
+    program = _program(spec.outputs, constants)
 
     def evaluator(zv: np.ndarray) -> np.ndarray:
         out = np.empty(zv.shape, dtype=np.complex128)
         with np.errstate(all="ignore"):
-            ctx = _EvalContext(zv, mats)
-            for k, tree in enumerate(outputs):
-                ctx.row = k
-                out[..., k] = _eval(tree, ctx)
+            for k, value in enumerate(_run(program, zv)):
+                out[..., k] = value
         return out
 
     return Transformation(
@@ -508,20 +508,15 @@ def parse_constant(text: str) -> complex:
     '-0.5i*2'.
     """
     parser = _Parser(_tokenize(text))
-    node = parser.parse_expression()
+    node = parser.parse_expression()[0]
     tail = parser.peek()
     if tail.kind != "eof":
         raise ParseError(f"trailing input {tail.text!r}", tail.line, tail.col)
     for sub in walk(node):
-        if isinstance(sub, (Var, MatApply)) or (
-            isinstance(sub, Call) and sub.func == "norm2"
-        ):
-            raise ParseError(
-                "constant expressions cannot reference the state",
-                *getattr(sub, "pos", (1, 1)),
-            )
+        if isinstance(sub, (Var, MatApply)) or getattr(sub, "func", "") == "norm2":
+            raise ParseError("constant expressions cannot reference the state", *sub.pos)
     with np.errstate(all="ignore"):
-        return complex(_eval(node, _EvalContext(np.zeros(1, dtype=np.complex128), {})))
+        return complex(_run(_program((node,)), np.zeros(1, dtype=np.complex128))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -603,5 +598,7 @@ def load_constants(path) -> dict[str, np.ndarray]:
                 f"matrix {name!r} must be square with [re, im] entries, "
                 f"got shape {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise SchemaError(f"matrix {name!r} has a non-finite entry")
         constants[name] = arr[:, :, 0] + 1j * arr[:, :, 1]
     return constants

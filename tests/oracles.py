@@ -6,14 +6,18 @@ gradients are n-vectors of partial derivatives with respect to z_k and
 conj(z_k), treating them as independent variables. The conjugation rule
 swaps and conjugates the gradient pair; re/im/abs2/norm2 expand through
 it. This never touches finite differences, so it anchors the numerical
-engine.
+engine. `value_oracle` reads the values off the same recursion, one point
+at a time in Python complex arithmetic (cmath), so it also anchors the
+compiled evaluator; like it, a divisor of modulus below 1e-300 raises
+DivisionNearZero.
 """
 
 import cmath
 
 import numpy as np
 
-from wigner.dsl import BinOp, Literal, MatApply, Neg, TransformSpec, Var
+from wigner.dsl import BinOp, Literal, MatApply, Neg, TransformSpec, Var, walk
+from wigner.errors import DivisionNearZero
 
 
 def _forward(node, z, row, mats):
@@ -40,6 +44,8 @@ def _forward(node, z, row, mats):
             return v1 - v2, g1 - g2, h1 - h2
         if node.op == "*":
             return v1 * v2, v1 * g2 + v2 * g1, v1 * h2 + v2 * h1
+        if abs(v2) < 1e-300:
+            raise DivisionNearZero("divisor modulus below 1e-300", *node.pos)
         q = v1 / v2
         return q, (g1 - q * g2) / v2, (h1 - q * h2) / v2
     func = node.func
@@ -75,13 +81,35 @@ def _forward(node, z, row, mats):
     return e, 1j * e * g, 1j * e * h
 
 
-def jacobian_oracle(spec: TransformSpec, z, constants=None):
-    """Exact (d_z, d_zbar) of a parsed spec at z; row k differentiates T_k."""
-    z = np.asarray(z, dtype=complex)
-    mats = {
+def _matrices(spec: TransformSpec, constants) -> dict:
+    return {
         name: np.asarray((constants or {})[name], dtype=complex)
         for name in spec.matrix_names
     }
+
+
+def value_oracle(spec: TransformSpec, z, constants=None) -> np.ndarray:
+    """T(z) of a parsed spec at one point z, tree by tree."""
+    z = np.asarray(z, dtype=complex)
+    mats = _matrices(spec, constants)
+    return np.array([_forward(tree, z, k, mats)[0] for k, tree in enumerate(spec.outputs)])
+
+
+def subterm_values(spec: TransformSpec, z, constants=None) -> list:
+    """(k, node, value at z) for every subterm `node` of every output tree T_k."""
+    z = np.asarray(z, dtype=complex)
+    mats = _matrices(spec, constants)
+    return [
+        (k, sub, _forward(sub, z, k, mats)[0])
+        for k, tree in enumerate(spec.outputs)
+        for sub in walk(tree)
+    ]
+
+
+def jacobian_oracle(spec: TransformSpec, z, constants=None):
+    """Exact (d_z, d_zbar) of a parsed spec at z; row k differentiates T_k."""
+    z = np.asarray(z, dtype=complex)
+    mats = _matrices(spec, constants)
     n = spec.dimension
     d_z = np.empty((n, n), dtype=complex)
     d_zbar = np.empty((n, n), dtype=complex)

@@ -260,6 +260,38 @@ def test_parse_error_exit_1(tmp_path, capsys):
     assert report["error"] == "parse_error"
 
 
+TOO_DEEP = {
+    "long_sum": " + ".join(["0.001*z1"] * 1200),
+    "nested_parentheses": "(" * 400 + "z1" + ")" * 400,
+    "chained_minus": "-" * 1200 + "z1",
+}
+
+
+@pytest.mark.parametrize("expression", TOO_DEEP.values(), ids=TOO_DEEP.keys())
+def test_too_deep_spec_is_parse_error_not_traceback(tmp_path, expression):
+    spec = write_spec(tmp_path, f"dim 1;\nT1 = {expression};\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "wigner", "check", "--spec", spec, "--no-timestamp"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["error"] == "parse_error"
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_constant_is_schema_error(tmp_path, capsys, entry):
+    spec = write_spec(tmp_path, DRESSED_MAT)
+    constants = tmp_path / "constants.json"
+    constants.write_text('{"U": [[[0, 0], [1, 0]], [[1, 0], [%s, 0]]]}' % entry)
+    code, report = run_json(["classify", "--spec", spec, "--constants", str(constants)], capsys)
+    assert code == 1
+    assert report["error"] == "schema_error"
+    assert "'U'" in report["detail"]
+
+
 def test_missing_file_exit_1(tmp_path, capsys):
     code, report = run_json(["classify", "--spec", str(tmp_path / "absent.wig")], capsys)
     assert code == 1

@@ -207,3 +207,101 @@ def test_constants_schema_errors(tmp_path):
     bad.write_text("not json")
     with pytest.raises(SchemaError):
         dsl.load_constants(bad)
+    for entry in ("NaN", "Infinity", "-Infinity"):
+        bad.write_text('{"W": [[[1, 0]]], "U": [[[%s, 0]]]}' % entry)
+        with pytest.raises(SchemaError, match="'U'"):
+            dsl.load_constants(bad)
+
+
+def test_shared_vanishing_divisor_reports_first_output():
+    # T2 is written first, but T1 is evaluated first: its division is the
+    # one that raises, as it was when every output was its own tree
+    source = "dim 2;\nT2 = z2 + 1 / (z1 - z1);\nT1 = z1 + 1 / (z1 - z1);\n"
+    with pytest.raises(DivisionNearZero) as err:
+        dsl.evaluate(dsl.parse(source), np.array([1.0 + 0j, 2.0 + 0j]))
+    assert (err.value.line, err.value.column) == (3, 13)
+
+
+def test_shared_phase_reads_each_row_of_mat():
+    spec = dsl.parse("dim 3;\n" + "".join(f"T{k} = expi(re(z1)) * mat(U);\n" for k in (1, 2, 3)))
+    u = np.arange(9).reshape(3, 3) + 1j * np.arange(9, 18).reshape(3, 3)
+    z = np.array([0.3 + 0.1j, -0.2 + 0.5j, 0.7 - 0.4j])
+    out = dsl.evaluate(spec, z, {"U": u})
+    assert np.abs(out - np.exp(0.3j) * (u @ z)).max() < 1e-13
+    assert len(set(out.tolist())) == 3
+
+
+@pytest.mark.parametrize(
+    "expression, column",
+    [
+        (" + ".join(["0.001*z1"] * 1200), 5 + 98 * 11 + 10),  # the 99th '+'
+        ("(" * 400 + "z1" + ")" * 400, 5 + 100),  # the 100th '('
+        ("-" * 1200 + "z1", 5 + 100),  # the 100th '-'
+    ],
+    ids=["long_sum", "nested_parentheses", "chained_minus"],
+)
+def test_too_deep_expression_is_refused_at_its_token(expression, column):
+    with pytest.raises(ParseError) as err:
+        dsl.parse(f"dim 1;\nT1 = {expression};\n")
+    assert (err.value.line, err.value.column) == (2, column)
+    assert f"deeper than {dsl.MAX_DEPTH}" in str(err.value)
+
+
+def nest_to(depth: int, kind: str) -> str:
+    """An expression `depth` levels deep, built from one kind of nesting."""
+    if kind == "sum":
+        return " + ".join(["z1"] * depth)
+    if kind == "minus":
+        return "-" * (depth - 1) + "z1"
+    if kind == "parentheses":
+        return "(" * (depth - 1) + "z1" + ")" * (depth - 1)
+    return "sin(" * (depth - 1) + "z1" + ")" * (depth - 1)
+
+
+def recurse_then(depth: int, fn):
+    """Call fn under `depth` extra stack frames."""
+    return recurse_then(depth - 1, fn) if depth else fn()
+
+
+@pytest.mark.parametrize("kind", ["sum", "minus", "parentheses", "call"])
+def test_deepest_accepted_tree_stays_within_recursion_limit(kind):
+    with pytest.raises(ParseError):
+        dsl.parse(f"dim 1;\nT1 = {nest_to(dsl.MAX_DEPTH + 1, kind)};\n")
+    z = np.array([0.3 + 0.1j])
+
+    def exercise():
+        # everything that recurses over a tree, with 200 frames to spare
+        spec = dsl.parse(f"dim 1;\nT1 = {nest_to(dsl.MAX_DEPTH, kind)};\n")
+        twin = dsl.parse(dsl.pretty_print(spec))
+        assert twin.outputs == spec.outputs and hash(twin.outputs) == hash(spec.outputs)
+        jacobian_oracle(spec, z)
+        return dsl.evaluate(spec, z)
+
+    assert np.isfinite(recurse_then(200, exercise)).all()
+
+
+def test_dense_linear_form_at_the_dimension_cap_classifies():
+    # a Householder reflection H = I - 2vv^T, v = (1, ..., 1)/8: every row
+    # holds the dense 64-term form v.z, which the program computes once
+    n = 64
+    form = " + ".join(f"0.125*z{j}" for j in range(1, n + 1))
+    rows = "".join(f"T{k} = z{k} - 2*0.125*({form});\n" for k in range(1, n + 1))
+    spec = dsl.parse(f"dim {n};\n{rows}")
+    result = wg.classify(dsl.compile_to_transformation(spec))
+    assert result.branch == "linear"
+    assert np.abs(result.operator - (np.eye(n) - 1 / 32)).max() < 1e-9
+
+
+def test_dense_complex_linear_form_parses_at_the_cap():
+    n = 64
+    form = " - ".join(f"(0.1+0.2i)*z{j}" for j in range(1, n + 1))
+    rest = "".join(f"T{k} = z{k};\n" for k in range(2, n + 1))
+    spec = dsl.parse(f"dim {n};\nT1 = -(1.5i)*{form};\n{rest}")
+    assert sum(isinstance(node, dsl.Var) for node in dsl.walk(spec.outputs[0])) == n
+
+
+def test_non_finite_matrix_is_schema_error():
+    spec = dsl.parse("dim 1;\nT1 = mat(U);\n")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(SchemaError, match="'U'"):
+            dsl.compile_to_transformation(spec, {"U": np.array([[bad]])})

@@ -1,10 +1,13 @@
-"""Exact counts of the base-map points each analysis pipeline evaluates.
+"""Exact counts of the base-map points each analysis pipeline evaluates,
+and of the steps a compiled spec runs per batch.
 
 Points, not evaluator calls, are counted: an (m, n) batch counts m, so
 the pins do not depend on how the pipelines batch their points. The
 counts are deterministic and do not depend on the machine. A change that
 alters one must update the pin and say why.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,12 @@ import wigner as wg
 from wigner import dsl
 from wigner.cli import main
 from wigner.errors import NotASymmetry
+
+CORPUS = Path(__file__).parent / "corpus"
+# the shape of the benchmark's dressed specs: exp(i alpha(z)) U z, alpha
+# three linear and two bilinear terms in Re/Im z, repeated in every output
+PHASE = "0.1*re(z1) - 0.2*im(z3) + 0.3*re(z5) + 0.4*re(z2)*im(z7) - 0.25*re(z4)*im(z8)"
+DRESSED_N8 = "dim 8;\n" + "".join(f"T{k} = expi({PHASE}) * mat(U);\n" for k in range(1, 9))
 
 ROTATION = (
     "dim 2;\n"
@@ -77,3 +86,20 @@ def test_cli_mazur_ulam_checks_isometry_once(tmp_path, monkeypatch, capsys):
     # 2 x 53 isometry pairs, the origin, 3 real Jacobians of 4, 50 points;
     # checking the isometry twice would add another 106
     assert [c[0] for c in counters] == [169]
+
+
+def program_steps(source: str, constants=None) -> int:
+    return len(dsl._program(dsl.parse(source).outputs, constants)[1])
+
+
+def test_dressed_n8_program_evaluates_the_phase_once():
+    # 7 columns z_j, 7 re/im, 7 products, 4 sums and one expi make the
+    # phase; one U z, 8 columns of it and 8 products finish the outputs.
+    # Evaluated tree by tree, the batch took 8 x 28 node evaluations and U z.
+    assert program_steps(DRESSED_N8, {"U": np.eye(8)}) == 43
+
+
+def test_corpus_dressed_mat_program():
+    # z1, re, expi, U z, then a column of U z and a product per output
+    source = (CORPUS / "nonanal_dressed_mat.wig").read_text()
+    assert program_steps(source, dsl.load_constants(CORPUS / "constants.json")) == 8
