@@ -30,7 +30,7 @@ from .errors import (
     ReconstructionMismatch,
     ZeroReference,
 )
-from .gauge import DEFAULT_PROBE_SCALE, gauge_fix
+from .gauge import gauge_fix
 from .states import Transformation, basis_state, random_state, zero_state
 from .wirtinger import WirtingerJacobian, richardson_refine, wirtinger_jacobian
 
@@ -41,6 +41,9 @@ ANTILINEAR = "antilinear"
 # identity, so linear vs antilinear is indistinct on rays
 CAVEAT_N1 = "n1_branch_indistinct"
 
+# classify refuses maps on C^n with n above this
+DIMENSION_CAP = 64
+
 
 @dataclass(frozen=True)
 class ClassifyConfig:
@@ -50,8 +53,6 @@ class ClassifyConfig:
     tol_branch: float = 1e-4
     samples: int = 50
     seed: int = 0
-    probe_scale: float = DEFAULT_PROBE_SCALE
-    dimension_cap: int = 64
 
 
 @dataclass(frozen=True)
@@ -238,10 +239,8 @@ def classify(
     diagnostics and the preservation report.
     """
     n = transform.dimension
-    if n > config.dimension_cap:
-        raise DimensionMismatch(
-            f"dimension {n} exceeds the configured cap {config.dimension_cap}"
-        )
+    if n > DIMENSION_CAP:
+        raise DimensionMismatch(f"dimension {n} exceeds the configured cap {DIMENSION_CAP}")
 
     preservation = check_preservation(
         transform, config.samples, config.seed, config.tol_preserve
@@ -253,12 +252,7 @@ def classify(
             report=preservation,
         )
 
-    fixed = gauge_fix(
-        transform,
-        probe_scale=config.probe_scale,
-        preserve_tol=config.tol_preserve,
-        seed=config.seed,
-    )
+    fixed = gauge_fix(transform, preserve_tol=config.tol_preserve, seed=config.seed)
     origin_jac = richardson_refine(fixed, zero_state(n), config.step, levels=1)
     branch, operator = _decide_branch(origin_jac, config.tol_branch)
     unitarity_residual = _require_unitary(operator, config.tol_unitary)

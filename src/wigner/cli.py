@@ -16,6 +16,7 @@ Exit codes (exhaustive):
        unknown_identifier, unknown_matrix, dimension_mismatch,
        schema_error (bad constants/manifest/flag values), not_real_map,
        not_unitary_input, and command-line usage errors
+Each error type carries its report code and exit code (wigner.errors).
 
 Reports are JSON by default (schema version 1, complex numbers always as
 [re, im] pairs, operators row-major); --format csv and --format human are
@@ -27,6 +28,7 @@ randomness flows from --seed (default 0).
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -42,28 +44,7 @@ from .classifier import (
     check_preservation,
     classify,
 )
-from .errors import (
-    DegeneratePair,
-    DimensionMismatch,
-    DivisionNearZero,
-    MixedBranch,
-    NonFiniteEvaluation,
-    NotASymmetry,
-    NotIsometry,
-    NotOrthogonal,
-    NotProbabilityPreserving,
-    NotRealMap,
-    NotUnitary,
-    NotUnitaryInput,
-    OriginNotFixed,
-    ParseError,
-    ReconstructionMismatch,
-    SchemaError,
-    UnknownIdentifier,
-    UnknownMatrix,
-    WignerError,
-    ZeroReference,
-)
+from .errors import DimensionMismatch, NotIsometry, NotRealMap, SchemaError, WignerError
 from .generators import (
     default_manifest,
     is_symmetry_kind,
@@ -76,30 +57,9 @@ from .wirtinger import richardson_refine, wirtinger_jacobian
 
 SCHEMA_VERSION = 1
 
-# recovery threshold for fuzz ground-truth comparison reuses --tol-unitary
-_VERDICT_ERROR_CODES = (
-    (NotASymmetry, "not_a_symmetry"),
-    (MixedBranch, "mixed_branch"),
-    (NotUnitary, "not_unitary"),
-    (ReconstructionMismatch, "reconstruction_mismatch"),
-    (OriginNotFixed, "origin_not_fixed"),
-    (NotProbabilityPreserving, "not_probability_preserving"),
-    (DegeneratePair, "degenerate_pair"),
-    (NotIsometry, "not_isometry"),
-    (NotOrthogonal, "not_orthogonal"),
-    (NonFiniteEvaluation, "non_finite_evaluation"),
-    (DivisionNearZero, "division_near_zero"),
-    (ZeroReference, "zero_reference"),
-)
-_INPUT_ERROR_CODES = (
-    (UnknownIdentifier, "unknown_identifier"),
-    (ParseError, "parse_error"),
-    (UnknownMatrix, "unknown_matrix"),
-    (SchemaError, "schema_error"),
-    (DimensionMismatch, "dimension_mismatch"),
-    (NotRealMap, "not_real_map"),
-    (NotUnitaryInput, "not_unitary_input"),
-)
+# about 20 MB of sampled points at the dimension cap; a larger --samples is
+# refused before anything is allocated
+MAX_SAMPLES = 10_000
 
 _COMPLEX_PAIR = {
     "type": "array",
@@ -176,18 +136,11 @@ def _vector_payload(vec) -> list:
 
 
 def _error_payload(exc: WignerError) -> tuple[int, dict]:
-    for klass, code in _INPUT_ERROR_CODES:
-        if isinstance(exc, klass):
-            return 1, {"error": code, "detail": str(exc)}
-    for klass, code in _VERDICT_ERROR_CODES:
-        if isinstance(exc, klass):
-            payload = {"error": code, "detail": str(exc)}
-            report = getattr(exc, "report", None)
-            if report is not None:
-                key = "isometry" if isinstance(exc, NotIsometry) else "preservation"
-                payload[key] = _preservation_payload(report)
-            return 2, payload
-    return 2, {"error": "analysis_error", "detail": str(exc)}
+    payload = {"error": exc.code, "detail": str(exc)}
+    if exc.report is not None:
+        key = "isometry" if isinstance(exc, NotIsometry) else "preservation"
+        payload[key] = _preservation_payload(exc.report)
+    return exc.exit_code, payload
 
 
 def _preservation_payload(report, with_pairs: bool = False) -> dict:
@@ -233,6 +186,8 @@ def _validate_numeric_flags(args) -> None:
             raise SchemaError(f"--{name.replace('_', '-')} must be positive")
     if args.samples < 1:
         raise SchemaError("--samples must be at least 1")
+    if args.samples > MAX_SAMPLES:
+        raise SchemaError(f"--samples must be at most {MAX_SAMPLES}")
     if getattr(args, "levels", 0) not in range(0, 5):
         raise SchemaError("--levels must be in 0..4")
 
@@ -325,14 +280,14 @@ def _fuzz_instance(index: int, entry: dict, args) -> dict:
     try:
         result = classify(transform, config)
     except WignerError as exc:
-        code = _error_payload(exc)[1]["error"]
         record["status"] = "rejected"
-        record["error"] = code
+        record["error"] = exc.code
         return record
     record["branch"] = result.branch
     if not symmetry:
         record["status"] = "accepted"
         return record
+    # recovery threshold for the ground-truth comparison reuses --tol-unitary
     truth = transform.ground_truth
     alignment = align_global_phase(result.operator, truth["matrix"])
     record["residual"] = alignment.aligned_residual
@@ -616,7 +571,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    `main` call: parse_args leaves it unchanged, and callers must too."""
     common = _ArgumentParser(add_help=False)
     common.add_argument("--step", type=float, default=1e-5, help="finite-difference step")
     common.add_argument("--tol-preserve", type=float, default=1e-8, dest="tol_preserve")

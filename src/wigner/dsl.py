@@ -152,7 +152,6 @@ class TransformSpec:
 
     dimension: int
     outputs: tuple
-    source: str = field(compare=False)
 
     @property
     def matrix_names(self) -> frozenset:
@@ -370,7 +369,7 @@ def parse(source: str) -> TransformSpec:
             f"{len(outputs)} outputs for dimension {dimension}"
             + (f" (missing T{missing[0]})" if missing else "")
         )
-    return TransformSpec(dimension, tuple(outputs[k] for k in range(1, dimension + 1)), source)
+    return TransformSpec(dimension, tuple(outputs[k] for k in range(1, dimension + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +495,7 @@ def compile_to_transformation(spec: TransformSpec, constants=None) -> Transforma
                 out[..., k] = value
         return out
 
-    return Transformation(
-        evaluator=evaluator, dimension=spec.dimension, source=spec.source, vectorized=True
-    )
+    return Transformation(evaluator=evaluator, dimension=spec.dimension, vectorized=True)
 
 
 def parse_constant(text: str) -> complex:

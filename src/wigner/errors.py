@@ -1,20 +1,39 @@
 """Exception types shared across the package.
 
-Two families matter to callers. Input/definition problems (malformed
+Every error carries the policy that drivers apply to it. `code` is the
+report code, the class name in snake case (NotASymmetry ->
+not_a_symmetry; the base class itself is analysis_error). `exit_code`
+names one of two families. Input/definition problems (malformed
 expressions, unknown matrices, bad vector shapes, broken manifest files)
-mean the question itself was ill-posed; the CLI maps them to exit code 1.
-Verdict failures (the analyzed map turned out not to be a symmetry, or a
-reconstruction check did not close) are legitimate analysis outcomes; the
-CLI maps them to exit code 2 and still emits a diagnostic report.
+mean the question itself was ill-posed: exit code 1. Verdict failures
+(the analyzed map turned out not to be a symmetry, or a reconstruction
+check did not close) are legitimate analysis outcomes: exit code 2, the
+default, and the CLI still emits a diagnostic report. A failed sampling
+check attaches its report as `.report` (None otherwise).
 """
+
+import re
 
 
 class WignerError(Exception):
     """Base class for every error raised by this package."""
 
+    code = "analysis_error"
+    exit_code = 2
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.code = re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower()
+
 
 class DimensionMismatch(WignerError):
     """A vector or matrix has a dimension inconsistent with the analysis."""
+
+    exit_code = 1
 
 
 class NonFiniteEvaluation(WignerError):
@@ -34,15 +53,8 @@ class OriginNotFixed(WignerError):
 
 
 class NotASymmetry(WignerError):
-    """The modulus-preservation check failed.
-
-    Carries the failing PreservationReport as `.report` so drivers can emit
-    per-pair diagnostics.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """The modulus-preservation check failed; `.report` is the failing
+    PreservationReport, for per-pair diagnostics."""
 
 
 class MixedBranch(WignerError):
@@ -68,13 +80,12 @@ class ZeroReference(WignerError):
 class NotUnitaryInput(WignerError):
     """A generator was handed a matrix that is not unitary."""
 
+    exit_code = 1
+
 
 class NotIsometry(WignerError):
-    """The real scalar-product preservation check failed."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """The real scalar-product preservation check failed; `.report` is the
+    failing isometry report."""
 
 
 class NotOrthogonal(WignerError):
@@ -84,6 +95,8 @@ class NotOrthogonal(WignerError):
 class NotRealMap(WignerError):
     """A map used in the real (Euclidean) analysis returned complex output."""
 
+    exit_code = 1
+
 
 class ParseError(WignerError):
     """Syntax error in a transform definition file.
@@ -91,6 +104,8 @@ class ParseError(WignerError):
     `line` and `column` are 1-based; `expected` lists the token kinds that
     would have been accepted.
     """
+
+    exit_code = 1
 
     def __init__(self, message, line, column, expected=()):
         super().__init__(f"{line}:{column}: {message}")
@@ -106,6 +121,8 @@ class UnknownIdentifier(ParseError):
 class UnknownMatrix(WignerError):
     """A mat(...) reference has no entry in the constants mapping."""
 
+    exit_code = 1
+
 
 class DivisionNearZero(WignerError):
     """A division node evaluated with a divisor of modulus below 1e-300."""
@@ -118,3 +135,5 @@ class DivisionNearZero(WignerError):
 
 class SchemaError(WignerError):
     """A JSON input file (constants, manifest) violates its schema."""
+
+    exit_code = 1

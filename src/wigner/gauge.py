@@ -32,10 +32,12 @@ import numpy as np
 from .errors import DegeneratePair, NotProbabilityPreserving, OriginNotFixed
 from .states import Transformation, as_state, random_state, zero_state
 
-DEFAULT_PROBE_SCALE = 1e-4
+PROBE_SCALE = 1e-4
 DEGENERATE_TOL = 1e-8
 PRESERVE_TOL = 1e-8
-# gauge_fix's post-hoc self-check on the residual origin phase
+# gauge_fix's origin check and its post-hoc self-check on the residual phase
+ORIGIN_TOL = 1e-9
+REFERENCE_SAMPLES = 8
 RESIDUAL_PHASE_TOL = 1e-6
 
 _TWO_PI = 2.0 * math.pi
@@ -72,23 +74,18 @@ def _theta_from(numerator: complex, overlap: complex, preserve_tol: float) -> fl
 
 
 def extract_theta(
-    transform: Transformation,
-    w,
-    z,
-    branch: str = "A",
-    preserve_tol: float = PRESERVE_TOL,
-    degenerate_tol: float = DEGENERATE_TOL,
+    transform: Transformation, w, z, branch: str = "A", preserve_tol: float = PRESERVE_TOL
 ) -> PhaseSample:
     """Measure the relative phase of a non-orthogonal pair under `transform`.
 
-    Raises DegeneratePair when |<w|z>| <= degenerate_tol * |w| * |z| (the
+    Raises DegeneratePair when |<w|z>| <= DEGENERATE_TOL * |w| * |z| (the
     phase of a vanishing overlap is meaningless) and
     NotProbabilityPreserving when the overlap modulus is not preserved.
     """
     w = as_state(w, transform.dimension)
     z = as_state(z, transform.dimension)
     overlap = complex(np.vdot(w, z))
-    bound = degenerate_tol * float(np.linalg.norm(w)) * float(np.linalg.norm(z))
+    bound = DEGENERATE_TOL * float(np.linalg.norm(w)) * float(np.linalg.norm(z))
     if abs(overlap) <= bound or overlap == 0:
         raise DegeneratePair(
             f"|<w|z>| = {abs(overlap):.3g} at or below threshold {bound:.3g}"
@@ -107,24 +104,19 @@ def extract_theta(
     )
 
 
-def origin_phase(
-    transform: Transformation,
-    z,
-    probe_scale: float = DEFAULT_PROBE_SCALE,
-    preserve_tol: float = PRESERVE_TOL,
-) -> float:
+def origin_phase(transform: Transformation, z, preserve_tol: float = PRESERVE_TOL) -> float:
     """Estimate theta(0, 0, z, z*) as the limit of theta(eps*z, z).
 
-    Probes at eps, eps/2 and eps/4 and extrapolates to eps = 0 with a
-    second-order Richardson combination, computed on wrapped increments so
-    branch-cut crossings cannot corrupt it. The point and its three probes
-    are evaluated as one batch; at z = 0 nothing is evaluated.
+    Probes at eps = PROBE_SCALE, eps/2 and eps/4 and extrapolates to
+    eps = 0 with a second-order Richardson combination, computed on wrapped
+    increments so branch-cut crossings cannot corrupt it. The point and its
+    three probes are evaluated as one batch; at z = 0 nothing is evaluated.
     """
     z = as_state(z, transform.dimension)
     denom_base = float(np.vdot(z, z).real)  # eps * |z|^2 is the probe overlap
     if denom_base == 0.0:
         return 0.0
-    scales = (probe_scale, probe_scale / 2.0, probe_scale / 4.0)
+    scales = (PROBE_SCALE, PROBE_SCALE / 2.0, PROBE_SCALE / 4.0)
     tz, *probes = transform(np.array((1.0,) + scales)[:, None] * z)
     thetas = [
         _theta_from(complex(np.vdot(tw, tz)), eps * denom_base, preserve_tol)
@@ -140,25 +132,19 @@ class GaugeFixedTransformation(Transformation):
     """A transformation multiplied by exp(i*alpha(z)) so its origin phase vanishes."""
 
     base: Transformation | None = None
-    probe_scale: float = DEFAULT_PROBE_SCALE
 
 
 def gauge_fix(
-    transform: Transformation,
-    probe_scale: float = DEFAULT_PROBE_SCALE,
-    reference_samples: int = 8,
-    preserve_tol: float = PRESERVE_TOL,
-    origin_tol: float = 1e-9,
-    seed: int = 0,
+    transform: Transformation, preserve_tol: float = PRESERVE_TOL, seed: int = 0
 ) -> GaugeFixedTransformation:
     """Wrap `transform` with the phase gauge that cancels theta(0, 0, z, z*).
 
-    Requires T(0) = 0 within `origin_tol` (raises OriginNotFixed otherwise;
+    Requires T(0) = 0 within ORIGIN_TOL (raises OriginNotFixed otherwise;
     a map that moves the origin cannot be a candidate symmetry). After
     construction the residual origin phase is re-measured on
-    `reference_samples` seeded points and must vanish within 1e-6, which it
-    does for any map preserving overlap moduli; a violation is reported as
-    NotProbabilityPreserving.
+    REFERENCE_SAMPLES points drawn from `seed` and must vanish within
+    RESIDUAL_PHASE_TOL, which it does for any map preserving overlap
+    moduli; a violation is reported as NotProbabilityPreserving.
 
     The wrapped evaluator returns exactly 0 at z = 0 and
     exp(i*alpha(z)) * T(z) elsewhere, with alpha(z) = -origin_phase(z)
@@ -166,14 +152,12 @@ def gauge_fix(
     skips the zero rows, looks up or probes alpha row by row, and
     evaluates T once on the remaining rows.
     """
-    if not 1e-8 <= probe_scale <= 1e-2:
-        raise ValueError("probe_scale must lie in [1e-8, 1e-2]")
     n = transform.dimension
     origin_image = transform(zero_state(n))
     origin_norm = float(np.linalg.norm(origin_image))
-    if origin_norm > origin_tol:
+    if origin_norm > ORIGIN_TOL:
         raise OriginNotFixed(
-            f"|T(0)| = {origin_norm:.3g} exceeds {origin_tol:g}; the origin must be fixed"
+            f"|T(0)| = {origin_norm:.3g} exceeds {ORIGIN_TOL:g}; the origin must be fixed"
         )
 
     cache: dict[bytes, float] = {}
@@ -185,7 +169,7 @@ def gauge_fix(
             hit = cache.get(key)
         if hit is not None:
             return hit
-        value = -origin_phase(transform, zv, probe_scale, preserve_tol)
+        value = -origin_phase(transform, zv, preserve_tol)
         with lock:
             cache[key] = value
         return value
@@ -201,17 +185,12 @@ def gauge_fix(
         return out.reshape(zv.shape)
 
     fixed = GaugeFixedTransformation(
-        evaluator=evaluator,
-        dimension=n,
-        source=transform.source,
-        vectorized=True,
-        base=transform,
-        probe_scale=probe_scale,
+        evaluator=evaluator, dimension=n, vectorized=True, base=transform
     )
 
     rng = np.random.default_rng(seed)
-    for _ in range(reference_samples):
-        residual = origin_phase(fixed, random_state(n, rng), probe_scale, preserve_tol)
+    for _ in range(REFERENCE_SAMPLES):
+        residual = origin_phase(fixed, random_state(n, rng), preserve_tol)
         if angle_distance(residual, 0.0) > RESIDUAL_PHASE_TOL:
             raise NotProbabilityPreserving(
                 f"residual origin phase {residual:.3g} after gauge fixing"

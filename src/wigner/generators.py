@@ -17,6 +17,7 @@ SYMMETRY_KINDS = ("linear", "antilinear")
 ADVERSARY_KINDS = ("scaling", "shear", "norm_warp", "rank_deficient")
 
 MAX_DRESSING_DEGREE = 4
+DRESSING_RIDGES = 2
 
 # manifest entries evolve dressing seeds away from the matrix seed
 _DRESSING_SEED_OFFSET = 500009
@@ -59,19 +60,19 @@ class DressingSpec:
     """
 
     degree: int
-    directions: np.ndarray  # (ridges, 2n), unit rows
-    coefficients: np.ndarray  # (ridges, degree + 1), ascending powers
+    directions: np.ndarray  # (DRESSING_RIDGES, 2n), unit rows
+    coefficients: np.ndarray  # (DRESSING_RIDGES, degree + 1), ascending powers
     seed: int
 
     @classmethod
-    def random(cls, n: int, degree: int, seed: int, ridges: int = 2) -> "DressingSpec":
+    def random(cls, n: int, degree: int, seed: int) -> "DressingSpec":
         if not 0 <= degree <= MAX_DRESSING_DEGREE:
             raise ValueError(f"degree must be in 0..{MAX_DRESSING_DEGREE}")
         rng = np.random.default_rng(seed)
-        directions = rng.uniform(-1.0, 1.0, size=(ridges, 2 * n))
+        directions = rng.uniform(-1.0, 1.0, size=(DRESSING_RIDGES, 2 * n))
         norms = np.linalg.norm(directions, axis=1, keepdims=True)
         directions = directions / np.where(norms < 1e-12, 1.0, norms)
-        coefficients = rng.uniform(-1.0, 1.0, size=(ridges, degree + 1))
+        coefficients = rng.uniform(-1.0, 1.0, size=(DRESSING_RIDGES, degree + 1))
         return cls(degree=degree, directions=directions, coefficients=coefficients, seed=seed)
 
     def __call__(self, z: np.ndarray):

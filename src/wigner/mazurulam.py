@@ -13,6 +13,7 @@ import numpy as np
 
 from .classifier import PreservationReport, sample_pairs
 from .errors import NotIsometry, NotOrthogonal, OriginNotFixed, ReconstructionMismatch
+from .gauge import ORIGIN_TOL
 from .states import Transformation
 from .wirtinger import real_jacobian
 
@@ -60,7 +61,6 @@ def reconstruct_orthogonal(
     tol: float = 1e-8,
     num_pairs: int = 100,
     seed: int = 0,
-    origin_tol: float = 1e-9,
 ) -> OrthogonalReconstruction:
     """Recover the orthogonal matrix of a scalar-product-preserving map.
 
@@ -79,8 +79,8 @@ def reconstruct_orthogonal(
         )
     n = transform.dimension
     origin_norm = float(np.linalg.norm(transform(np.zeros(n))))
-    if origin_norm > origin_tol:
-        raise OriginNotFixed(f"|T(0)| = {origin_norm:.3g} exceeds {origin_tol:g}")
+    if origin_norm > ORIGIN_TOL:
+        raise OriginNotFixed(f"|T(0)| = {origin_norm:.3g} exceeds {ORIGIN_TOL:g}")
 
     matrix = real_jacobian(transform, np.zeros(n), step)
     residual = float(np.abs(matrix.T @ matrix - np.eye(n)).max())

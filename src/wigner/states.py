@@ -49,15 +49,12 @@ class Transformation:
     is called once per row, so a per-point evaluator such as
     `lambda z: u @ z` stays correct on a batch. The evaluator must be
     deterministic and safe to call from several threads at once.
-    `source` carries the defining expression text when the map was
-    compiled from a file. `ground_truth` is generator bookkeeping (the
-    kind and matrix an instance was built from); analysis code never
-    reads it.
+    `ground_truth` is generator bookkeeping (the kind and matrix an
+    instance was built from); analysis code never reads it.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     dimension: int
-    source: str | None = None
     ground_truth: dict | None = None
     vectorized: bool = False
 

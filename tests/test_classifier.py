@@ -79,8 +79,6 @@ def test_classify_dimension_cap():
     transform = wg.Transformation(lambda z: z, 65)
     with pytest.raises(DimensionMismatch):
         wg.classify(transform)
-    cfg = wg.ClassifyConfig(dimension_cap=128, samples=5)
-    assert wg.classify(transform, cfg).branch == "linear"
 
 
 def test_classify_n1_caveat():

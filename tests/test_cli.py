@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import jsonschema
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import wigner as wg
-from wigner.cli import REPORT_SCHEMA, main
+from wigner.cli import MAX_SAMPLES, REPORT_SCHEMA, build_parser, main
 
 CONJUGATION = "dim 2;\nT1 = conj(z1);\nT2 = conj(z2);\n"
 SCALING = "dim 2;\nT1 = 2.0 * z1;\nT2 = 2.0 * z2;\n"
@@ -402,19 +403,90 @@ def test_human_format_flags_residuals(tmp_path, capsys):
 
 def test_every_error_type_has_exactly_one_exit_code():
     import wigner.errors as errs
-    from wigner.cli import _INPUT_ERROR_CODES, _VERDICT_ERROR_CODES
+    from wigner.cli import _error_payload
 
-    mapped = {k for k, _ in _INPUT_ERROR_CODES} | {k for k, _ in _VERDICT_ERROR_CODES}
-    defined = {
+    defined = [
         obj
         for obj in vars(errs).values()
-        if isinstance(obj, type)
-        and issubclass(obj, errs.WignerError)
-        and obj is not errs.WignerError
+        if isinstance(obj, type) and issubclass(obj, errs.WignerError)
+    ]
+    assert {klass.code: klass.exit_code for klass in defined} == {
+        "analysis_error": 2,
+        "dimension_mismatch": 1,
+        "non_finite_evaluation": 2,
+        "degenerate_pair": 2,
+        "not_probability_preserving": 2,
+        "origin_not_fixed": 2,
+        "not_a_symmetry": 2,
+        "mixed_branch": 2,
+        "not_unitary": 2,
+        "reconstruction_mismatch": 2,
+        "zero_reference": 2,
+        "not_unitary_input": 1,
+        "not_isometry": 2,
+        "not_orthogonal": 2,
+        "not_real_map": 1,
+        "parse_error": 1,
+        "unknown_identifier": 1,
+        "unknown_matrix": 1,
+        "division_near_zero": 2,
+        "schema_error": 1,
     }
-    assert defined <= mapped, f"unmapped error types: {defined - mapped}"
-    codes = [c for _, c in _INPUT_ERROR_CODES] + [c for _, c in _VERDICT_ERROR_CODES]
-    assert len(codes) == len(set(codes))
+    assert len(defined) == 20
+    for klass in defined:
+        exc = klass("boom", 1, 2) if issubclass(klass, errs.ParseError) else klass("boom")
+        code, payload = _error_payload(exc)
+        assert (code, payload["error"]) == (klass.exit_code, klass.code)
+        assert payload["detail"] == str(exc)
+
+
+def test_samples_above_cap_is_schema_error_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled although --samples is above the cap")
+
+    monkeypatch.setattr(wg.classifier, "random_state", no_sampling)
+    spec = write_spec(tmp_path, IDENTITY)
+    build_parser()  # built once per process; its allocations are not the run's
+    for command in ("classify", "check", "mazur-ulam"):
+        tracemalloc.start()
+        try:
+            code, report = run_json(
+                [command, "--spec", spec, "--samples", str(MAX_SAMPLES + 1)], capsys
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert report["error"] == "schema_error"
+        assert report["detail"] == f"--samples must be at most {MAX_SAMPLES}"
+        assert peak < 64 * 1024
+
+
+def test_samples_at_cap_is_accepted(tmp_path, capsys):
+    spec = write_spec(tmp_path, IDENTITY)
+    code, report = run_json(["check", "--spec", spec, "--samples", str(MAX_SAMPLES)], capsys)
+    assert code == 0
+    assert report["preservation"]["pairs_tested"] == MAX_SAMPLES + 6
+
+
+def test_back_to_back_calls_share_nothing_but_the_parser(tmp_path, capsys):
+    spec = write_spec(tmp_path, IDENTITY)
+    assert build_parser() is build_parser()
+    code, report = run_json(["diff", "--spec", spec, "--point", "1,0", "--levels", "2"], capsys)
+    assert code == 0
+    assert (report["config_echo"]["point"], report["config_echo"]["levels"]) == ("1,0", 2)
+    code, report = run_json(["classify", "--spec", spec], capsys)
+    assert code == 0
+    assert "point" not in report["config_echo"]
+    assert "levels" not in report["config_echo"]
+
+    with pytest.raises(SystemExit) as usage:
+        main(["classify", "--no-timestamp"])
+    assert usage.value.code == 1
+    capsys.readouterr()
+    code, report = run_json(["check", "--spec", spec], capsys)
+    assert code == 0
+    assert report["verdict"] == "preserving"
 
 
 def test_console_entry_point():

@@ -66,7 +66,7 @@ def cases(draw):
     m = draw(st.integers(1, 6))
     radius = rng.uniform(0.0, 1.0, (m, n))
     points = radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (m, n)))
-    return dsl.TransformSpec(n, outputs, source=""), constants, points
+    return dsl.TransformSpec(n, outputs), constants, points
 
 
 def evaluate_or_none(transform, z):
@@ -148,7 +148,7 @@ def test_each_output_alone_equals_its_column(case):
     for k, tree in enumerate(spec.outputs):
         alone = tuple(tree if j == k else zero for j in range(spec.dimension))
         transform = dsl.compile_to_transformation(
-            dsl.TransformSpec(spec.dimension, alone, source=""), constants
+            dsl.TransformSpec(spec.dimension, alone), constants
         )
         try:
             column = transform.evaluator(points)[:, k]
