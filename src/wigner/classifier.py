@@ -44,6 +44,9 @@ CAVEAT_N1 = "n1_branch_indistinct"
 # classify refuses maps on C^n with n above this
 DIMENSION_CAP = 64
 
+# most random pairs one preservation check draws (20 MB of points at n = 64)
+MAX_SAMPLES = 10_000
+
 
 @dataclass(frozen=True)
 class ClassifyConfig:
@@ -68,11 +71,20 @@ class PairRecord:
 
 @dataclass
 class PreservationReport:
+    """A sampled preservation check: `labels` names each pair and `columns`
+    holds its PairRecord numbers (norm_w, norm_z, expected, deviation), from
+    which `records` builds the PairRecords when read."""
+
     pairs_tested: int
     max_deviation: float
     tolerance: float
     passed: bool
-    records: list[PairRecord] = field(default_factory=list)
+    labels: list[str] = field(repr=False)
+    columns: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def records(self) -> list[PairRecord]:
+        return [PairRecord(label, *row) for label, row in zip(self.labels, self.columns.tolist())]
 
 
 @dataclass
@@ -134,60 +146,62 @@ def check_preservation(
 
     Specials always include the zero vector, every basis vector against a
     fixed random anchor, an orthogonal pair, a parallel pair and a scaled
-    parallel pair; `num_pairs` standard complex Gaussian pairs follow.
-    Deterministic given `seed`.
+    parallel pair; `num_pairs` (1..MAX_SAMPLES) standard complex Gaussian
+    pairs follow. Deterministic given `seed`.
     """
-    if num_pairs < 1:
-        raise ValueError("num_pairs must be at least 1")
+    if not 1 <= num_pairs <= MAX_SAMPLES:
+        raise ValueError(f"num_pairs must be in 1..{MAX_SAMPLES}")
     n = transform.dimension
     rng = np.random.default_rng(seed)
-    anchor = random_state(n, rng)
-    parallel = random_state(n, rng)
+    anchor, parallel = random_state(n, rng, (2,))
 
-    pairs: list[tuple[str, np.ndarray, np.ndarray]] = [("zero", zero_state(n), anchor)]
-    pairs += [("basis", basis_state(n, k), anchor) for k in range(n)]
+    specials = [("zero", zero_state(n), anchor)]
+    specials += [("basis", basis_state(n, k), anchor) for k in range(n)]
     if n >= 2:
-        pairs.append(("orthogonal", basis_state(n, 0), basis_state(n, 1)))
-    pairs.append(("parallel", parallel, parallel))
-    pairs.append(("parallel_scaled", parallel, 2.5 * parallel))
-    pairs += [
-        ("random", random_state(n, rng), random_state(n, rng))
-        for _ in range(num_pairs)
-    ]
+        specials.append(("orthogonal", basis_state(n, 0), basis_state(n, 1)))
+    specials.append(("parallel", parallel, parallel))
+    specials.append(("parallel_scaled", parallel, 2.5 * parallel))
+    labels = [label for label, _, _ in specials] + ["random"] * num_pairs
+    points = np.concatenate(
+        [[(w, z) for _, w, z in specials], random_state(n, rng, (num_pairs, 2))]
+    )
     return sample_pairs(
-        transform, pairs, lambda a, b: abs(complex(np.vdot(a, b))), tol
+        transform, labels, points, lambda w, z: np.abs(np.einsum("ij,ij->i", w.conj(), z)), tol
     )
 
 
-def sample_pairs(transform, pairs, product, tol: float) -> PreservationReport:
-    """Deviation |product(Tw, Tz) - product(w, z)| of each (label, w, z) pair.
+def sample_pairs(transform, labels, points, product, tol: float) -> PreservationReport:
+    """Deviation |product(Tw, Tz) - product(w, z)| of each pair of `points`.
 
     The one sampler behind `check_preservation` (overlap moduli) and
-    `mazurulam.check_isometry` (real scalar products); evaluates all 2P
-    points in one batch and passes when the largest deviation is below
-    `tol`.
+    `mazurulam.check_isometry` (real scalar products). `points` holds one
+    labelled (w, z) pair per row, shape (P, 2, n); `product` maps two (P, n)
+    arrays to P values. All 2P points are evaluated in one batch, ordered
+    w0, z0, w1, z1, ...; passes when the largest deviation is below `tol`.
     """
-    images = transform(np.array([p for _, w, z in pairs for p in (w, z)]))
-    records = []
-    for (label, w, z), tw, tz in zip(pairs, images[0::2], images[1::2]):
-        expected = product(w, z)
-        records.append(
-            PairRecord(
-                label=label,
-                norm_w=float(np.linalg.norm(w)),
-                norm_z=float(np.linalg.norm(z)),
-                expected=expected,
-                deviation=abs(product(tw, tz) - expected),
-            )
-        )
-    worst = max(r.deviation for r in records)
+    norms = np.linalg.norm(points, axis=-1)
+    expected = product(points[:, 0], points[:, 1])
+    images = transform(points.reshape(-1, points.shape[-1])).reshape(points.shape)
+    deviation = np.abs(product(images[:, 0], images[:, 1]) - expected)
+    worst = float(deviation.max())
     return PreservationReport(
-        pairs_tested=len(records),
+        pairs_tested=len(labels),
         max_deviation=worst,
         tolerance=float(tol),
         passed=worst < tol,
-        records=records,
+        labels=labels,
+        columns=np.column_stack([norms, expected, deviation]),
     )
+
+
+def require_preserved(report: PreservationReport) -> None:
+    """Raise NotASymmetry, carrying `report`, unless the check passed."""
+    if not report.passed:
+        raise NotASymmetry(
+            f"max modulus deviation {report.max_deviation:.3g} "
+            f"exceeds {report.tolerance:g}",
+            report=report,
+        )
 
 
 def _decide_branch(jacobian: WirtingerJacobian, tol_branch: float) -> tuple[str, np.ndarray]:
@@ -242,15 +256,8 @@ def classify(
     if n > DIMENSION_CAP:
         raise DimensionMismatch(f"dimension {n} exceeds the configured cap {DIMENSION_CAP}")
 
-    preservation = check_preservation(
-        transform, config.samples, config.seed, config.tol_preserve
-    )
-    if not preservation.passed:
-        raise NotASymmetry(
-            f"max modulus deviation {preservation.max_deviation:.3g} "
-            f"exceeds {config.tol_preserve:g}",
-            report=preservation,
-        )
+    preservation = check_preservation(transform, config.samples, config.seed, config.tol_preserve)
+    require_preserved(preservation)
 
     fixed = gauge_fix(transform, preserve_tol=config.tol_preserve, seed=config.seed)
     origin_jac = richardson_refine(fixed, zero_state(n), config.step, levels=1)
@@ -259,14 +266,10 @@ def classify(
 
     # global reconstruction against the origin operator
     rng = np.random.default_rng([config.seed, 1])
-    points = np.array([random_state(n, rng) for _ in range(config.samples)])
+    points = random_state(n, rng, (config.samples,))
     model = (points if branch == LINEAR else np.conj(points)) @ operator.T
-    worst_reconstruction = float(
-        (
-            np.linalg.norm(fixed(points) - model, axis=1)
-            / np.linalg.norm(points, axis=1)
-        ).max()
-    )
+    misses = np.linalg.norm(fixed(points) - model, axis=1) / np.linalg.norm(points, axis=1)
+    worst_reconstruction = float(misses.max())
     if worst_reconstruction >= config.tol_unitary:
         raise ReconstructionMismatch(
             f"origin operator misses the map by {worst_reconstruction:.3g} "
@@ -278,8 +281,7 @@ def classify(
     constancy_tol = 10.0 * config.tol_unitary
     rng_points = np.random.default_rng([config.seed, 2])
     run_phase = None
-    for _ in range(3):
-        z = random_state(n, rng_points)
+    for z in random_state(n, rng_points, (3,)):
         jac = wirtinger_jacobian(fixed, z, config.step)
         block = jac.d_z if branch == LINEAR else jac.d_zbar
         if run_phase is None:

@@ -39,12 +39,14 @@ import numpy as np
 
 from . import dsl
 from .classifier import (
+    MAX_SAMPLES,
     ClassifyConfig,
     align_global_phase,
     check_preservation,
     classify,
+    require_preserved,
 )
-from .errors import DimensionMismatch, NotIsometry, NotRealMap, SchemaError, WignerError
+from .errors import DimensionMismatch, NotASymmetry, NotIsometry, NotRealMap, SchemaError, WignerError
 from .generators import (
     default_manifest,
     is_symmetry_kind,
@@ -56,10 +58,6 @@ from .states import zero_state
 from .wirtinger import richardson_refine, wirtinger_jacobian
 
 SCHEMA_VERSION = 1
-
-# about 20 MB of sampled points at the dimension cap; a larger --samples is
-# refused before anything is allocated
-MAX_SAMPLES = 10_000
 
 _COMPLEX_PAIR = {
     "type": "array",
@@ -221,16 +219,14 @@ def _cmd_classify(args) -> tuple[int, dict]:
 def _cmd_check(args) -> tuple[int, dict]:
     transform = _load_transformation(args)
     report = check_preservation(transform, args.samples, args.seed, args.tol_preserve)
-    payload = {"preservation": _preservation_payload(report, with_pairs=True)}
-    if report.passed:
-        payload["verdict"] = "preserving"
-        return 0, payload
-    payload["error"] = "not_a_symmetry"
-    payload["detail"] = (
-        f"max modulus deviation {report.max_deviation:.6g} exceeds "
-        f"{report.tolerance:g}"
-    )
-    return 2, payload
+    try:
+        require_preserved(report)
+    except NotASymmetry as exc:
+        code, payload = _error_payload(exc)
+    else:
+        code, payload = 0, {"verdict": "preserving"}
+    payload["preservation"] = _preservation_payload(report, with_pairs=True)
+    return code, payload
 
 
 def _cmd_diff(args) -> tuple[int, dict]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import PreservationReport, sample_pairs
+from .classifier import MAX_SAMPLES, PreservationReport, sample_pairs
 from .errors import NotIsometry, NotOrthogonal, OriginNotFixed, ReconstructionMismatch
 from .gauge import ORIGIN_TOL
 from .states import Transformation
@@ -40,19 +40,18 @@ def check_isometry(
     seed: int = 0,
     tol: float = 1e-8,
 ) -> PreservationReport:
-    """Max of |T(u).T(v) - u.v| over seeded pairs (plus zero and parallel specials)."""
-    if num_pairs < 1:
-        raise ValueError("num_pairs must be at least 1")
+    """Max of |T(u).T(v) - u.v| over 1..MAX_SAMPLES seeded pairs and 3 specials."""
+    if not 1 <= num_pairs <= MAX_SAMPLES:
+        raise ValueError(f"num_pairs must be in 1..{MAX_SAMPLES}")
     n = transform.dimension
     rng = np.random.default_rng(seed)
     anchor = rng.standard_normal(n)
     zero = np.zeros(n)
-    pairs = [("zero", zero, zero), ("zero", zero, anchor), ("parallel", anchor, anchor)]
-    pairs += [
-        ("random", rng.standard_normal(n), rng.standard_normal(n))
-        for _ in range(num_pairs)
-    ]
-    return sample_pairs(transform, pairs, lambda u, v: float(u @ v), tol)
+    labels = ["zero", "zero", "parallel"] + ["random"] * num_pairs
+    points = np.concatenate(
+        [[(zero, zero), (zero, anchor), (anchor, anchor)], rng.standard_normal((num_pairs, 2, n))]
+    )
+    return sample_pairs(transform, labels, points, lambda u, v: np.einsum("ij,ij->i", u, v), tol)
 
 
 def reconstruct_orthogonal(
@@ -89,18 +88,13 @@ def reconstruct_orthogonal(
 
     rng = np.random.default_rng([seed, 1])
     points = rng.standard_normal((50, n))
-    rec = float(
-        (
-            np.linalg.norm(transform(points) - points @ matrix.T, axis=1)
-            / np.linalg.norm(points, axis=1)
-        ).max()
-    )
+    misses = np.linalg.norm(transform(points) - points @ matrix.T, axis=1)
+    rec = float((misses / np.linalg.norm(points, axis=1)).max())
     if rec >= tol:
         raise ReconstructionMismatch(
             f"origin Jacobian misses the map by {rec:.3g} relative (tol {tol:g})"
         )
-    for _ in range(2):
-        v = rng.standard_normal(n)
+    for v in rng.standard_normal((2, n)):
         drift = float(np.abs(real_jacobian(transform, v, step) - matrix).max())
         if drift >= tol:
             raise ReconstructionMismatch(

@@ -30,9 +30,16 @@ def basis_state(dim: int, index: int) -> np.ndarray:
     return e
 
 
-def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Standard complex Gaussian vector (each component CN(0, 1))."""
-    return (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) / np.sqrt(2.0)
+def random_state(dim: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+    """Standard complex Gaussian vectors (each component CN(0, 1)) of shape
+    `shape + (dim,)`, from one draw that takes the real, then the imaginary
+    parts of each vector in turn: bit for bit one call per vector."""
+    draw = rng.standard_normal((*shape, 2, dim))
+    # filled in place: `(re + 1j * im) / sqrt(2)` would hold two more such arrays
+    z = draw[..., 0, :].astype(np.complex128)
+    z.imag = draw[..., 1, :]
+    z /= np.sqrt(2.0)
+    return z
 
 
 @dataclass

@@ -10,12 +10,18 @@ engine. `value_oracle` reads the values off the same recursion, one point
 at a time in Python complex arithmetic (cmath), so it also anchors the
 compiled evaluator; like it, a divisor of modulus below 1e-300 raises
 DivisionNearZero.
+
+`reference_preservation` and `reference_isometry` are the pair samplers
+written as a loop: one draw per vector, one record per pair, with
+`np.vdot` and `np.linalg.norm` on each pair. The array samplers must draw
+the same points and agree with them to roundoff.
 """
 
 import cmath
 
 import numpy as np
 
+from wigner.classifier import PairRecord
 from wigner.dsl import BinOp, Literal, MatApply, Neg, TransformSpec, Var, walk
 from wigner.errors import DivisionNearZero
 
@@ -123,3 +129,60 @@ def jacobian_oracle(spec: TransformSpec, z, constants=None):
 def directional_derivative(transform, z, delta, t=1e-6):
     """Central-difference derivative of s -> T(z + s*delta) at s = 0."""
     return (transform(z + t * delta) - transform(z - t * delta)) / (2.0 * t)
+
+
+def _reference_state(n, rng):
+    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+
+
+def _reference_pairs(transform, pairs, product, tol):
+    """(records, passed) for (label, w, z) pairs; all 2P points in one batch,
+    ordered w0, z0, w1, z1, ..."""
+    images = transform(np.array([p for _, w, z in pairs for p in (w, z)]))
+    records = []
+    for (label, w, z), tw, tz in zip(pairs, images[0::2], images[1::2]):
+        expected = product(w, z)
+        records.append(
+            PairRecord(
+                label=label,
+                norm_w=float(np.linalg.norm(w)),
+                norm_z=float(np.linalg.norm(z)),
+                expected=expected,
+                deviation=abs(product(tw, tz) - expected),
+            )
+        )
+    return records, max(r.deviation for r in records) < tol
+
+
+def reference_preservation(transform, num_pairs, seed, tol):
+    """check_preservation, one pair at a time: (records, passed)."""
+    n = transform.dimension
+    rng = np.random.default_rng(seed)
+    anchor = _reference_state(n, rng)
+    parallel = _reference_state(n, rng)
+    basis = np.eye(n, dtype=complex)
+    pairs = [("zero", np.zeros(n, dtype=complex), anchor)]
+    pairs += [("basis", basis[k], anchor) for k in range(n)]
+    if n >= 2:
+        pairs.append(("orthogonal", basis[0], basis[1]))
+    pairs.append(("parallel", parallel, parallel))
+    pairs.append(("parallel_scaled", parallel, 2.5 * parallel))
+    pairs += [
+        ("random", _reference_state(n, rng), _reference_state(n, rng))
+        for _ in range(num_pairs)
+    ]
+    return _reference_pairs(transform, pairs, lambda a, b: abs(complex(np.vdot(a, b))), tol)
+
+
+def reference_isometry(transform, num_pairs, seed, tol):
+    """mazurulam.check_isometry, one pair at a time: (records, passed)."""
+    n = transform.dimension
+    rng = np.random.default_rng(seed)
+    anchor = rng.standard_normal(n)
+    zero = np.zeros(n)
+    pairs = [("zero", zero, zero), ("zero", zero, anchor), ("parallel", anchor, anchor)]
+    pairs += [
+        ("random", rng.standard_normal(n), rng.standard_normal(n))
+        for _ in range(num_pairs)
+    ]
+    return _reference_pairs(transform, pairs, lambda u, v: float(u @ v), tol)

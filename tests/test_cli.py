@@ -116,6 +116,23 @@ def test_check_norm_warp_deviation_grows_with_norm(tmp_path, capsys):
     assert upper > lower
 
 
+@pytest.mark.parametrize("text", (SCALING, NORM_WARP, TRANSLATION))
+def test_check_and_classify_report_one_preservation_failure(tmp_path, capsys, text):
+    spec = write_spec(tmp_path, text)
+    reports = {}
+    for command in ("check", "classify"):
+        code, reports[command] = run_json([command, "--spec", spec], capsys)
+        assert (code, reports[command]["error"]) == (2, "not_a_symmetry")
+    check, classified = reports["check"], reports["classify"]
+    assert check["detail"] == classified["detail"]
+    assert check["detail"].startswith("max modulus deviation ")
+    assert len(check["preservation"]["pairs"]) == check["preservation"]["pairs_tested"]
+    assert "pairs" not in classified["preservation"]
+    listed = dict(check["preservation"])
+    del listed["pairs"]
+    assert listed == classified["preservation"]
+
+
 def test_diff_identity(tmp_path, capsys):
     spec = write_spec(tmp_path, IDENTITY)
     code, report = run_json(["diff", "--spec", spec], capsys)
