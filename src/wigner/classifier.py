@@ -30,9 +30,9 @@ from .errors import (
     ReconstructionMismatch,
     ZeroReference,
 )
-from .gauge import gauge_fix
+from .gauge import PRESERVE_TOL, gauge_fix
 from .states import Transformation, basis_state, random_state, zero_state
-from .wirtinger import WirtingerJacobian, richardson_refine, wirtinger_jacobian
+from .wirtinger import DEFAULT_STEP, WirtingerJacobian, richardson_refine, wirtinger_jacobian
 
 LINEAR = "linear"
 ANTILINEAR = "antilinear"
@@ -50,8 +50,11 @@ MAX_SAMPLES = 10_000
 
 @dataclass(frozen=True)
 class ClassifyConfig:
-    step: float = 1e-5
-    tol_preserve: float = 1e-8
+    """The run settings of `classify`; the CLI offers each field a
+    subcommand reads as --<name>, with this type and default."""
+
+    step: float = DEFAULT_STEP
+    tol_preserve: float = PRESERVE_TOL
     tol_unitary: float = 1e-6
     tol_branch: float = 1e-4
     samples: int = 50

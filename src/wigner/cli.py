@@ -2,21 +2,13 @@
 classification, Jacobian dumps and corpus fuzzing, emit machine-readable
 reports.
 
-Subcommands: classify, check, diff, fuzz, mazur-ulam.
+Subcommands: classify, check, diff, fuzz, mazur-ulam. Each takes, as
+--<name>, only the ClassifyConfig settings its handler reads (`_COMMANDS`).
 
-Exit codes (exhaustive):
-    0  the run completed with a positive verdict
-    2  the run completed with a negative verdict; a diagnostic report is
-       still emitted: not_a_symmetry, mixed_branch, not_unitary,
-       reconstruction_mismatch, origin_not_fixed,
-       not_probability_preserving, degenerate_pair, not_isometry,
-       not_orthogonal, zero_reference, fuzz failures, and evaluation
-       failures (non_finite_evaluation, division_near_zero)
-    1  the question was ill-posed: io_error, parse_error,
-       unknown_identifier, unknown_matrix, dimension_mismatch,
-       schema_error (bad constants/manifest/flag values), not_real_map,
-       not_unitary_input, and command-line usage errors
-Each error type carries its report code and exit code (wigner.errors).
+Exit codes: 0 for a positive verdict, 2 for a negative one (a diagnostic
+report is still emitted; also fuzz_failures), 1 for an ill-posed question
+(bad input files or setting values, and command-line usage errors). Each
+error type carries its report code and exit code; see wigner.errors.
 
 Reports are JSON by default (schema version 1, complex numbers always as
 [re, im] pairs, operators row-major); --format csv and --format human are
@@ -31,9 +23,11 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -167,25 +161,30 @@ def _load_transformation(args):
     return dsl.compile_to_transformation(spec, constants)
 
 
+def _option(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _config_from_args(args) -> ClassifyConfig:
-    return ClassifyConfig(
-        step=args.step,
-        tol_preserve=args.tol_preserve,
-        tol_unitary=args.tol_unitary,
-        tol_branch=args.tol_branch,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    settings = _COMMANDS[args.command].settings
+    return ClassifyConfig(**{name: getattr(args, name) for name in settings})
 
 
-def _validate_numeric_flags(args) -> None:
-    for name in ("step", "tol_preserve", "tol_unitary", "tol_branch"):
-        if getattr(args, name) <= 0:
-            raise SchemaError(f"--{name.replace('_', '-')} must be positive")
-    if args.samples < 1:
-        raise SchemaError("--samples must be at least 1")
-    if args.samples > MAX_SAMPLES:
-        raise SchemaError(f"--samples must be at most {MAX_SAMPLES}")
+def _validate_settings(args) -> None:
+    for name in _COMMANDS[args.command].settings:
+        value = getattr(args, name)
+        if name == "seed":
+            if value < 0:
+                raise SchemaError("--seed must be non-negative")
+        elif name == "samples":
+            if value < 1:
+                raise SchemaError("--samples must be at least 1")
+            if value > MAX_SAMPLES:
+                raise SchemaError(f"--samples must be at most {MAX_SAMPLES}")
+        elif not math.isfinite(value):
+            raise SchemaError(f"{_option(name)} must be finite")
+        elif value <= 0:
+            raise SchemaError(f"{_option(name)} must be positive")
     if getattr(args, "levels", 0) not in range(0, 5):
         raise SchemaError("--levels must be in 0..4")
 
@@ -358,12 +357,32 @@ def _cmd_mazur_ulam(args) -> tuple[int, dict]:
     }
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "check": _cmd_check,
-    "diff": _cmd_diff,
-    "fuzz": _cmd_fuzz,
-    "mazur-ulam": _cmd_mazur_ulam,
+class _Command(NamedTuple):
+    handler: Callable
+    help: str
+    settings: tuple[str, ...]  # the ClassifyConfig fields the handler reads
+
+
+_ALL_SETTINGS = tuple(f.name for f in dataclasses.fields(ClassifyConfig))
+
+_COMMANDS = {
+    "classify": _Command(
+        _cmd_classify, "full verdict: branch + reconstructed operator", _ALL_SETTINGS
+    ),
+    "check": _Command(
+        _cmd_check, "modulus-preservation check only", ("tol_preserve", "samples", "seed")
+    ),
+    "diff": _Command(
+        _cmd_diff, "dump the Wirtinger Jacobian pair at a point", ("step", "tol_branch")
+    ),
+    "fuzz": _Command(
+        _cmd_fuzz, "run a generated corpus through classification", _ALL_SETTINGS
+    ),
+    "mazur-ulam": _Command(
+        _cmd_mazur_ulam,
+        "real Euclidean analysis: isometry check + orthogonal matrix",
+        ("step", "tol_unitary", "samples", "seed"),
+    ),
 }
 
 
@@ -371,23 +390,12 @@ _HANDLERS = {
 # report assembly and serialization
 
 def _config_echo(args) -> dict:
-    echo = {
-        "command": args.command,
-        "step": args.step,
-        "tol_preserve": args.tol_preserve,
-        "tol_unitary": args.tol_unitary,
-        "tol_branch": args.tol_branch,
-        "samples": args.samples,
-        "seed": args.seed,
-        "format": args.format,
+    """Every option the subcommand took, less where the report goes."""
+    return {
+        name: value
+        for name, value in vars(args).items()
+        if value is not None and name not in ("output", "no_timestamp")
     }
-    for attr in ("spec", "constants", "manifest", "point"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            echo[attr] = value
-    if hasattr(args, "levels"):
-        echo["levels"] = args.levels
-    return echo
 
 
 def _assemble(payload: dict, args, started: float) -> dict:
@@ -406,6 +414,10 @@ def _to_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+_FUZZ_CSV_FIELDS = (
+    "index", "kind", "n", "seed", "dressing_degree", "status", "branch", "residual", "error"
+)
+_CHECK_CSV_FIELDS = ("label", "norm_w", "norm_z", "expected", "deviation")
 _CSV_SCALAR_FIELDS = (
     "verdict",
     "error",
@@ -417,36 +429,23 @@ _CSV_SCALAR_FIELDS = (
 )
 
 
-def _to_csv(report: dict) -> str:
+def _csv_listing(fields, rows) -> str:
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    writer = csv.DictWriter(buffer, fields, restval="", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def _to_csv(report: dict) -> str:
     command = report["config_echo"]["command"]
     if command == "fuzz":
-        writer.writerow(
-            ["index", "kind", "n", "seed", "dressing_degree", "status", "branch", "residual", "error"]
-        )
-        for inst in report.get("instances", []):
-            writer.writerow(
-                [
-                    inst.get("index"),
-                    inst.get("kind"),
-                    inst.get("n"),
-                    inst.get("seed"),
-                    inst.get("dressing_degree", ""),
-                    inst.get("status"),
-                    inst.get("branch", ""),
-                    inst.get("residual", ""),
-                    inst.get("error", ""),
-                ]
-            )
-        return buffer.getvalue()
+        # a report refused on its manifest has no instances
+        return _csv_listing(_FUZZ_CSV_FIELDS, report.get("instances", []))
     if command == "check" and "preservation" in report:
-        writer.writerow(["label", "norm_w", "norm_z", "expected", "deviation"])
-        for pair in report["preservation"].get("pairs", []):
-            writer.writerow(
-                [pair["label"], pair["norm_w"], pair["norm_z"], pair["expected"], pair["deviation"]]
-            )
-        return buffer.getvalue()
+        return _csv_listing(_CHECK_CSV_FIELDS, report["preservation"]["pairs"])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
     if command == "diff":
         writer.writerow(["row", "col", "d_z_re", "d_z_im", "d_zbar_re", "d_zbar_im"])
         d_z = report.get("d_z", [])
@@ -499,21 +498,12 @@ def _to_human(report: dict) -> str:
     if "operator_real" in report:
         lines.append("operator:")
         lines += _human_matrix(report["operator_real"], complex_entries=False)
-    if "unitarity_residual" in report:
-        lines.append(
-            f"unitarity residual: {report['unitarity_residual']:.3g} "
-            + _flag(report["unitarity_residual"], echo["tol_unitary"])
-        )
-    if "reconstruction_residual" in report:
-        lines.append(
-            f"reconstruction residual: {report['reconstruction_residual']:.3g} "
-            + _flag(report["reconstruction_residual"], echo["tol_unitary"])
-        )
-    if "orthogonality_residual" in report:
-        lines.append(
-            f"orthogonality residual: {report['orthogonality_residual']:.3g} "
-            + _flag(report["orthogonality_residual"], echo["tol_unitary"])
-        )
+    for key in ("unitarity_residual", "reconstruction_residual", "orthogonality_residual"):
+        if key in report:
+            lines.append(
+                f"{key.replace('_', ' ')}: {report[key]:.3g} "
+                + _flag(report[key], echo["tol_unitary"])
+            )
     for key in ("preservation", "isometry"):
         if key in report:
             block = report[key]
@@ -572,12 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every
     `main` call: parse_args leaves it unchanged, and callers must too."""
     common = _ArgumentParser(add_help=False)
-    common.add_argument("--step", type=float, default=1e-5, help="finite-difference step")
-    common.add_argument("--tol-preserve", type=float, default=1e-8, dest="tol_preserve")
-    common.add_argument("--tol-unitary", type=float, default=1e-6, dest="tol_unitary")
-    common.add_argument("--tol-branch", type=float, default=1e-4, dest="tol_branch")
-    common.add_argument("--samples", type=int, default=50)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("json", "csv", "human"), default="json")
     common.add_argument("--output", default=None, help="write the report here instead of stdout")
     common.add_argument("--no-timestamp", action="store_true", dest="no_timestamp")
@@ -592,22 +576,25 @@ def build_parser() -> argparse.ArgumentParser:
         "as unitary or antiunitary and reconstruct the operator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("classify", parents=[common, spec_opts],
-                   help="full verdict: branch + reconstructed operator")
-    sub.add_parser("check", parents=[common, spec_opts],
-                   help="modulus-preservation check only")
-    diff = sub.add_parser("diff", parents=[common, spec_opts],
-                          help="dump the Wirtinger Jacobian pair at a point")
-    diff.add_argument("--point", default=None,
-                      help="comma-separated components, e.g. '1+2i, 0.5, -i' (default: origin)")
-    diff.add_argument("--levels", type=int, default=0,
-                      help="Richardson refinement levels (0 = plain differences)")
-    fuzz = sub.add_parser("fuzz", parents=[common],
-                          help="run a generated corpus through classification")
-    fuzz.add_argument("--manifest", default=None,
-                      help="corpus manifest JSON (default: built-in 50-instance corpus)")
-    sub.add_parser("mazur-ulam", parents=[common, spec_opts],
-                   help="real Euclidean analysis: isometry check + orthogonal matrix")
+    defaults = ClassifyConfig()
+    for name, command in _COMMANDS.items():
+        # the settings parent goes first, so usage lists the settings first
+        settings = _ArgumentParser(add_help=False)
+        for setting in command.settings:
+            default = getattr(defaults, setting)
+            settings.add_argument(_option(setting), type=type(default), default=default,
+                                  help="default: %(default)s")
+        parents = [settings, common] if name == "fuzz" else [settings, common, spec_opts]
+        sub.add_parser(name, parents=parents, help=command.help)
+    sub.choices["diff"].add_argument(
+        "--point", default=None,
+        help="comma-separated components, e.g. '1+2i, 0.5, -i' (default: origin)")
+    sub.choices["diff"].add_argument(
+        "--levels", type=int, default=0,
+        help="Richardson refinement levels (0 = plain differences)")
+    sub.choices["fuzz"].add_argument(
+        "--manifest", default=None,
+        help="corpus manifest JSON (default: built-in 50-instance corpus)")
     return parser
 
 
@@ -616,8 +603,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        _validate_numeric_flags(args)
-        code, payload = _HANDLERS[args.command](args)
+        _validate_settings(args)
+        code, payload = _COMMANDS[args.command].handler(args)
     except WignerError as exc:
         code, payload = _error_payload(exc)
     except OSError as exc:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifier import DIMENSION_CAP
 from .errors import DimensionMismatch, NotUnitaryInput, SchemaError
 from .states import Transformation
 
@@ -88,16 +89,17 @@ class DressingSpec:
         return float(total) if z.ndim == 1 else total
 
 
-def make_symmetry(kind: str, matrix, dressing=None) -> Transformation:
+def make_symmetry(kind: str, matrix, dressing: "DressingSpec | None" = None) -> Transformation:
     """Build z -> exp(i*alpha(z)) * U z (linear) or ... * U conj(z) (antilinear).
 
-    `dressing` is any callable z -> real alpha (a DressingSpec, typically),
-    or None for no dressing. The matrix must be unitary within 1e-10. The
-    map is vectorized unless the dressing is some other callable, which is
-    then handed one point at a time.
+    `dressing` is the phase alpha as a DressingSpec, or None for no
+    dressing. The matrix must be unitary within 1e-10. The map is
+    vectorized.
     """
     if kind not in SYMMETRY_KINDS:
         raise ValueError(f"kind must be one of {SYMMETRY_KINDS}, got {kind!r}")
+    if dressing is not None and not isinstance(dressing, DressingSpec):
+        raise TypeError(f"dressing must be a DressingSpec or None, got {type(dressing).__name__}")
     u = np.asarray(matrix, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got shape {u.shape}")
@@ -110,16 +112,14 @@ def make_symmetry(kind: str, matrix, dressing=None) -> Transformation:
     if dressing is None:
         evaluator = lambda z: flip(z) @ u.T
     else:
-        evaluator = lambda z: np.exp(1j * np.asarray(dressing(z)))[..., None] * (
-            flip(z) @ u.T
-        )
+        evaluator = lambda z: np.exp(1j * dressing(z))[..., None] * (flip(z) @ u.T)
 
-    degree = getattr(dressing, "degree", None)
+    degree = None if dressing is None else dressing.degree
     return Transformation(
         evaluator=evaluator,
         dimension=n,
         ground_truth={"kind": kind, "matrix": u, "dressing_degree": degree},
-        vectorized=dressing is None or isinstance(dressing, DressingSpec),
+        vectorized=True,
     )
 
 
@@ -186,12 +186,18 @@ def default_manifest() -> list[dict]:
     return entries
 
 
+def _is_integer(value) -> bool:
+    # JSON true and false load as bools, which Python counts as ints
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_manifest(obj) -> list[dict]:
     """Check a parsed manifest against the corpus schema.
 
     The manifest is a non-empty JSON list of entries {kind, n, seed,
-    dressing_degree?}; dressing_degree applies to symmetry kinds only and
-    defaults to 0. Raises SchemaError with the offending index.
+    dressing_degree?}: n in 1..DIMENSION_CAP, seed a non-negative integer;
+    dressing_degree applies to symmetry kinds only and defaults to 0.
+    Raises SchemaError with the offending index, before any map is built.
     """
     if not isinstance(obj, list) or not obj:
         raise SchemaError("manifest must be a non-empty list of entries")
@@ -204,16 +210,18 @@ def validate_manifest(obj) -> list[dict]:
         if kind not in known:
             raise SchemaError(f"entry {idx}: unknown kind {kind!r}")
         n = raw.get("n")
-        if not isinstance(n, int) or n < 1:
+        if not _is_integer(n) or n < 1:
             raise SchemaError(f"entry {idx}: n must be a positive integer")
+        if n > DIMENSION_CAP:
+            raise SchemaError(f"entry {idx}: n = {n} exceeds the dimension cap {DIMENSION_CAP}")
         if kind in ("shear", "rank_deficient") and n < 2:
             raise SchemaError(f"entry {idx}: {kind} needs n >= 2")
         seed = raw.get("seed")
-        if not isinstance(seed, int):
-            raise SchemaError(f"entry {idx}: seed must be an integer")
+        if not _is_integer(seed) or seed < 0:
+            raise SchemaError(f"entry {idx}: seed must be a non-negative integer")
         degree = raw.get("dressing_degree", 0)
         if kind in SYMMETRY_KINDS:
-            if not isinstance(degree, int) or not 0 <= degree <= MAX_DRESSING_DEGREE:
+            if not _is_integer(degree) or not 0 <= degree <= MAX_DRESSING_DEGREE:
                 raise SchemaError(
                     f"entry {idx}: dressing_degree must be in 0..{MAX_DRESSING_DEGREE}"
                 )

@@ -15,7 +15,7 @@ from .classifier import MAX_SAMPLES, PreservationReport, sample_pairs
 from .errors import NotIsometry, NotOrthogonal, OriginNotFixed, ReconstructionMismatch
 from .gauge import ORIGIN_TOL
 from .states import Transformation
-from .wirtinger import real_jacobian
+from .wirtinger import DEFAULT_STEP, real_jacobian
 
 
 class RealTransformation(Transformation):
@@ -56,7 +56,7 @@ def check_isometry(
 
 def reconstruct_orthogonal(
     transform: RealTransformation,
-    step: float = 1e-5,
+    step: float = DEFAULT_STEP,
     tol: float = 1e-8,
     num_pairs: int = 100,
     seed: int = 0,

@@ -81,19 +81,6 @@ def test_dressing_returns_float_per_point_and_array_per_batch():
         assert abs(single - value) <= RELATIVE_TOL * max(1.0, abs(single))
 
 
-def test_other_dressing_callables_get_single_points():
-    calls = []
-
-    def dressing(z):
-        calls.append(np.shape(z))
-        return float(np.real(z[0]))
-
-    transform = wg.make_symmetry("linear", wg.haar_unitary(2, 3), dressing)
-    assert not transform.vectorized
-    transform(mixed_scale_points(2, seed=3, m=4))
-    assert calls == [(2,)] * 4
-
-
 CONSTANTS = dsl.load_constants(CORPUS / "constants.json")
 SPECS = sorted(CORPUS.glob("*.wig"))
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -516,3 +517,128 @@ def test_console_entry_point():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["verdict"] == "ok"
+
+
+ALL_SETTINGS = ("step", "tol_preserve", "tol_unitary", "tol_branch", "samples", "seed")
+COMMAND_SETTINGS = {
+    "classify": ALL_SETTINGS,
+    "check": ("tol_preserve", "samples", "seed"),
+    "diff": ("step", "tol_branch"),
+    "fuzz": ALL_SETTINGS,
+    "mazur-ulam": ("step", "tol_unitary", "samples", "seed"),
+}
+SETTING_VALUES = {
+    "step": 2e-5, "tol_preserve": 1e-7, "tol_unitary": 1e-5, "tol_branch": 1e-3,
+    "samples": 7, "seed": 3,
+}
+UNLISTED = [(c, name) for c in COMMAND_SETTINGS for name in ALL_SETTINGS
+            if name not in COMMAND_SETTINGS[c]]
+FUZZ_CSV_HEADER = "index,kind,n,seed,dressing_degree,status,branch,residual,error\n"
+
+
+def option(name):
+    return "--" + name.replace("_", "-")
+
+
+def command_args(tmp_path, command):
+    """A subcommand with an input it accepts (exit 0)."""
+    if command == "fuzz":
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([{"kind": "scaling", "n": 2, "seed": 1}]))
+        return ["fuzz", "--manifest", str(manifest)]
+    return [command, "--spec", write_spec(tmp_path, ROTATION)]
+
+
+@pytest.mark.parametrize("command", COMMAND_SETTINGS)
+def test_each_subcommand_takes_and_echoes_the_settings_it_reads(tmp_path, capsys, command):
+    args = command_args(tmp_path, command)
+    for name in COMMAND_SETTINGS[command]:
+        args += [option(name), str(SETTING_VALUES[name])]
+    code, report = run_json(args, capsys)
+    assert code == 0
+    echo = report["config_echo"]
+    assert {name: echo[name] for name in ALL_SETTINGS if name in echo} == {
+        name: SETTING_VALUES[name] for name in COMMAND_SETTINGS[command]
+    }
+
+
+@pytest.mark.parametrize("command, name", UNLISTED)
+def test_a_setting_the_subcommand_ignores_is_a_usage_error(tmp_path, capsys, command, name):
+    args = command_args(tmp_path, command) + [option(name), str(SETTING_VALUES[name])]
+    with pytest.raises(SystemExit) as usage:
+        main(args)
+    assert usage.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {option(name)}" in captured.err
+
+
+def test_help_lists_each_subcommands_options(capsys):
+    top = build_parser().format_help()
+    assert all(command in top for command in COMMAND_SETTINGS)
+    shared = {"--help", "--format", "--output", "--no-timestamp"}
+    inputs = {"fuzz": {"--manifest"}, "diff": {"--spec", "--constants", "--point", "--levels"}}
+    pairs = 0
+    for command, settings in COMMAND_SETTINGS.items():
+        with pytest.raises(SystemExit) as shown:
+            main([command, "--help"])
+        assert shown.value.code == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        expected = shared | inputs.get(command, {"--spec", "--constants"})
+        assert listed == expected | {option(name) for name in settings}
+        pairs += len(listed - {"--help"})
+    assert pairs == 47
+
+
+BAD_SETTINGS = [
+    ("classify", "--tol-preserve", "nan", "finite"),
+    ("check", "--tol-preserve", "nan", "finite"),
+    ("classify", "--tol-preserve=-inf", None, "finite"),
+    ("classify", "--tol-unitary", "nan", "finite"),
+    ("mazur-ulam", "--tol-unitary", "nan", "finite"),
+    ("fuzz", "--tol-unitary", "nan", "finite"),
+    ("classify", "--step", "nan", "finite"),
+    ("classify", "--step", "inf", "finite"),
+    ("diff", "--step", "nan", "finite"),
+    ("diff", "--step", "inf", "finite"),
+    ("classify", "--tol-branch", "inf", "finite"),
+    ("diff", "--tol-branch", "inf", "finite"),
+    ("classify", "--seed", "-1", "non-negative"),
+    ("check", "--seed", "-1", "non-negative"),
+    ("fuzz", "--seed", "-1", "non-negative"),
+    ("mazur-ulam", "--seed", "-1", "non-negative"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, rule", BAD_SETTINGS)
+def test_setting_that_would_skew_the_verdict_is_schema_error(
+    tmp_path, capsys, command, flag, value, rule
+):
+    args = command_args(tmp_path, command) + [flag] + ([value] if value else [])
+    code, out = run_cli(args + ["--no-timestamp"], capsys)
+    report = json.loads(out)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert (code, report["error"]) == (1, "schema_error")
+    assert report["detail"] == f"{flag.split('=')[0]} must be {rule}"
+    assert capsys.readouterr().err == ""
+
+
+def test_fuzz_csv_of_a_refused_manifest_is_the_header_alone(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"kind": "linear", "n": 65, "seed": 1}]))
+    code, out = run_cli(
+        ["fuzz", "--manifest", str(manifest), "--format", "csv", "--no-timestamp"], capsys
+    )
+    assert (code, out) == (1, FUZZ_CSV_HEADER)
+
+
+def test_fuzz_manifest_above_the_cap_is_refused_before_building(tmp_path, capsys, monkeypatch):
+    def no_building(*args, **kwargs):
+        raise AssertionError("built a map for an entry above the dimension cap")
+
+    monkeypatch.setattr(wg.generators, "haar_unitary", no_building)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"kind": "linear", "n": 65, "seed": 1}]))
+    code, report = run_json(["fuzz", "--manifest", str(manifest)], capsys)
+    assert (code, report["error"]) == (1, "schema_error")
+    assert report["detail"] == "entry 0: n = 65 exceeds the dimension cap 64"

@@ -138,6 +138,38 @@ def test_validate_manifest_errors():
         validate_manifest([{"kind": "linear", "n": 2, "seed": 1, "dressing_degree": 9}])
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"kind": "linear", "n": 65, "seed": 1}, "n = 65 exceeds the dimension cap 64"),
+        ({"kind": "scaling", "n": 65, "seed": 1}, "n = 65 exceeds the dimension cap 64"),
+        ({"kind": "linear", "n": True, "seed": 1}, "n must be a positive integer"),
+        ({"kind": "linear", "n": 2, "seed": True}, "seed must be a non-negative integer"),
+        ({"kind": "shear", "n": 2, "seed": -1}, "seed must be a non-negative integer"),
+        (
+            {"kind": "linear", "n": 2, "seed": 1, "dressing_degree": True},
+            "dressing_degree must be in 0..4",
+        ),
+    ],
+)
+def test_validate_manifest_refuses_values_no_map_can_take(entry, message):
+    with pytest.raises(SchemaError) as refused:
+        validate_manifest([{"kind": "linear", "n": 2, "seed": 0}, entry])
+    assert str(refused.value) == f"entry 1: {message}"
+
+
+def test_validate_manifest_accepts_the_dimension_cap():
+    entry = {"kind": "scaling", "n": 64, "seed": 0}
+    assert validate_manifest([entry]) == [{**entry, "dressing_degree": 0}]
+
+
+def test_make_symmetry_takes_only_a_dressing_spec():
+    with pytest.raises(TypeError, match="DressingSpec or None"):
+        wg.make_symmetry("linear", np.eye(2), lambda z: 0.0)
+    assert wg.make_symmetry("linear", np.eye(2)).vectorized
+    assert wg.make_symmetry("linear", np.eye(2), wg.DressingSpec.random(2, 1, 3)).vectorized
+
+
 def test_transformation_from_entry_round_trip():
     entry = {"kind": "antilinear", "n": 3, "seed": 21, "dressing_degree": 2}
     transform = transformation_from_entry(validate_manifest([entry])[0])
