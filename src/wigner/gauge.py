@@ -18,7 +18,8 @@ overlap eps*|z|^2 real positive and never degenerate, and makes the same
 probe formula valid on both branches. The limit is taken numerically by
 second-order Richardson extrapolation over (eps, eps/2, eps/4), leaving
 an O(eps^3) residual. Probed phases are memoized per point behind a lock
-so repeated evaluation is deterministic and cheap.
+so repeated evaluation is deterministic and cheap; the probes of every
+point a batch misses in the memo are evaluated in one call.
 
 All angles live in (-pi, pi]; comparisons are wrap-aware.
 """
@@ -39,6 +40,10 @@ PRESERVE_TOL = 1e-8
 ORIGIN_TOL = 1e-9
 REFERENCE_SAMPLES = 8
 RESIDUAL_PHASE_TOL = 1e-6
+# the point and its three probes, (1, eps, eps/2, eps/4) as a column
+_PROBES = np.array([1.0, PROBE_SCALE, PROBE_SCALE / 2.0, PROBE_SCALE / 4.0])[:, None]
+# memo misses whose probes gauge_fix evaluates in one base call (4 points each)
+PROBE_CHUNK_ROWS = 256
 
 _TWO_PI = 2.0 * math.pi
 
@@ -104,23 +109,28 @@ def extract_theta(
     )
 
 
-def origin_phase(transform: Transformation, z, preserve_tol: float = PRESERVE_TOL) -> float:
+def origin_phase(
+    transform: Transformation, z, preserve_tol: float = PRESERVE_TOL, images=None
+) -> float:
     """Estimate theta(0, 0, z, z*) as the limit of theta(eps*z, z).
 
     Probes at eps = PROBE_SCALE, eps/2 and eps/4 and extrapolates to
     eps = 0 with a second-order Richardson combination, computed on wrapped
     increments so branch-cut crossings cannot corrupt it. The point and its
-    three probes are evaluated as one batch; at z = 0 nothing is evaluated.
+    three probes `_PROBES * z` are evaluated as one batch, unless `images`
+    already holds their four images (shape (4, n), in that order); at z = 0
+    nothing is evaluated.
     """
     z = as_state(z, transform.dimension)
     denom_base = float(np.vdot(z, z).real)  # eps * |z|^2 is the probe overlap
     if denom_base == 0.0:
         return 0.0
-    scales = (PROBE_SCALE, PROBE_SCALE / 2.0, PROBE_SCALE / 4.0)
-    tz, *probes = transform(np.array((1.0,) + scales)[:, None] * z)
+    if images is None:
+        images = transform(_PROBES * z)
+    tz, *probes = images
     thetas = [
         _theta_from(complex(np.vdot(tw, tz)), eps * denom_base, preserve_tol)
-        for eps, tw in zip(scales, probes)
+        for eps, tw in zip(_PROBES[1:, 0], probes)
     ]
     d1 = wrap_angle(thetas[1] - thetas[0])
     d2 = wrap_angle(thetas[2] - thetas[1])
@@ -149,8 +159,10 @@ def gauge_fix(
     The wrapped evaluator returns exactly 0 at z = 0 and
     exp(i*alpha(z)) * T(z) elsewhere, with alpha(z) = -origin_phase(z)
     memoized per queried point (thread-safe, as-if-pure). On a batch it
-    skips the zero rows, looks up or probes alpha row by row, and
-    evaluates T once on the remaining rows.
+    skips the zero rows and looks the others up in the memo. The probes of
+    the distinct rows that miss are evaluated in one base call per
+    PROBE_CHUNK_ROWS rows, each row's phase is read from its four images
+    by origin_phase, and T is evaluated once on the nonzero rows.
     """
     n = transform.dimension
     origin_image = transform(zero_state(n))
@@ -163,24 +175,33 @@ def gauge_fix(
     cache: dict[bytes, float] = {}
     lock = threading.Lock()
 
-    def alpha(zv: np.ndarray) -> float:
-        key = zv.tobytes()
-        with lock:
-            hit = cache.get(key)
-        if hit is not None:
-            return hit
-        value = -origin_phase(transform, zv, preserve_tol)
-        with lock:
-            cache[key] = value
-        return value
-
     def evaluator(zv: np.ndarray) -> np.ndarray:
         rows = zv.reshape(-1, n)
         out = np.zeros_like(rows)
         live = rows.any(axis=1)
         if live.any():
             points = rows[live]
-            phases = np.array([alpha(p) for p in points])
+            keys = [p.tobytes() for p in points]
+            with lock:
+                known = [cache.get(key) for key in keys]
+            missing: dict[bytes, int] = {}
+            for k, (key, hit) in enumerate(zip(keys, known)):
+                if hit is None:
+                    missing.setdefault(key, k)
+            fresh: dict[bytes, float] = {}
+            pending = list(missing.items())
+            for start in range(0, len(pending), PROBE_CHUNK_ROWS):
+                chunk = pending[start : start + PROBE_CHUNK_ROWS]
+                probed = points[[k for _, k in chunk]]
+                images = transform((_PROBES * probed[:, None, :]).reshape(-1, n))
+                images = images.reshape(len(chunk), len(_PROBES), n)
+                for (key, _), row, row_images in zip(chunk, probed, images):
+                    fresh[key] = -origin_phase(transform, row, preserve_tol, images=row_images)
+            with lock:
+                cache.update(fresh)
+            phases = np.array(
+                [fresh[key] if hit is None else hit for key, hit in zip(keys, known)]
+            )
             out[live] = np.exp(1j * phases)[:, None] * transform(points)
         return out.reshape(zv.shape)
 

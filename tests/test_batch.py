@@ -15,7 +15,12 @@ from hypothesis import given, settings, strategies as st
 import wigner as wg
 from wigner import dsl
 from wigner.generators import ADVERSARY_KINDS, SYMMETRY_KINDS
-from wigner.errors import DimensionMismatch, NonFiniteEvaluation, WignerError
+from wigner.errors import (
+    DimensionMismatch,
+    NonFiniteEvaluation,
+    NotProbabilityPreserving,
+    WignerError,
+)
 
 CORPUS = Path(__file__).parent / "corpus"
 RELATIVE_TOL = 1e-13
@@ -126,8 +131,8 @@ def test_gauge_fixed_batch():
 
     first = fixed(points)
     assert np.array_equal(first[[1, 4]], np.zeros((2, 3)))
-    # each nonzero row: a 4-point origin probe on a memo miss, then one base call
-    assert counts == [4 + 1, 4 * 4 + 4]
+    # one call probes the 4 memo misses (4 points each), one maps the 4 rows
+    assert counts == [2, 4 * 4 + 4]
 
     counts[:] = [0, 0]
     again = fixed(points)
@@ -136,6 +141,105 @@ def test_gauge_fixed_batch():
 
     assert_batch_matches(wg.gauge_fix(transform), points)
     assert np.array_equal(fixed(np.zeros((2, 3))), np.zeros((2, 3)))
+
+
+def per_row_reference(transform, points):
+    """exp(-i origin_phase(T, z)) T(z) row by row, each row probed on its own."""
+    rows = []
+    for z in points:
+        if z.any():
+            rows.append(np.exp(-1j * wg.gauge.origin_phase(transform, z)) * transform(z))
+        else:
+            rows.append(np.zeros_like(z))
+    return np.array(rows)
+
+
+def shared_row_points(n: int, seed: int, m: int) -> np.ndarray:
+    """Mixed-scale rows with two exact zeros and repeats of earlier rows."""
+    points = mixed_scale_points(n, seed=seed, m=m)
+    points[[1, m // 2]] = 0.0
+    points[[3, m - 1]] = points[[2, 0]]
+    return points
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+@pytest.mark.parametrize("kind", SYMMETRY_KINDS)
+def test_gauge_fixed_batch_matches_per_row_reference(kind, n):
+    transform = wg.make_symmetry(kind, wg.haar_unitary(n, n), wg.DressingSpec.random(n, 3, n))
+    points = shared_row_points(n, seed=n, m=9)
+    batch = wg.gauge_fix(transform)(points)
+    reference = per_row_reference(transform, points)
+    assert np.array_equal(batch[[1, 4]], np.zeros((2, n)))
+    deviation = np.abs(batch - reference).max(axis=1)
+    assert (deviation <= RELATIVE_TOL * np.abs(reference).max(axis=1)).all()
+
+
+def test_gauge_fixed_batch_across_probe_chunks():
+    # 600 rows, 596 distinct nonzero ones: three chunks of probes
+    dressing = wg.DressingSpec.random(2, 4, 4)
+    transform = wg.make_symmetry("antilinear", wg.haar_unitary(2, 4), dressing)
+    fixed = wg.gauge_fix(transform)
+    points = shared_row_points(2, seed=4, m=600)
+    assert 596 > 2 * wg.gauge.PROBE_CHUNK_ROWS
+    batch = fixed(points)
+    reference = per_row_reference(transform, points)
+    deviation = np.abs(batch - reference).max(axis=1)
+    assert (deviation <= RELATIVE_TOL * np.abs(reference).max(axis=1)).all()
+
+
+def test_gauge_fixed_batch_probes_each_missing_row_once(monkeypatch):
+    transform = wg.make_symmetry("linear", wg.haar_unitary(3, 2), wg.DressingSpec.random(3, 2, 2))
+    fixed = wg.gauge_fix(transform)
+    points = shared_row_points(3, seed=2, m=12)
+    fixed(points[:3])  # rows 0 and 2 are now in the memo, row 1 is zero
+    probed = []
+    origin_phase = wg.gauge.origin_phase
+
+    def recorded(transform, z, *args, **kwargs):
+        probed.append(z.tobytes())
+        return origin_phase(transform, z, *args, **kwargs)
+
+    monkeypatch.setattr(wg.gauge, "origin_phase", recorded)
+    fixed(points)
+    # 12 rows: 2 zeros, 2 repeats of rows 0 and 2, and those 2 memo hits
+    expected = [z.tobytes() for k, z in enumerate(points) if k not in (0, 1, 2, 3, 6, 11)]
+    assert probed == expected
+    probed.clear()
+    fixed(points)
+    assert probed == []
+
+
+def test_gauge_fixed_batch_bounds_each_base_call():
+    transform = wg.make_symmetry("linear", wg.haar_unitary(2, 6), wg.DressingSpec.random(2, 2, 6))
+    fixed = wg.gauge_fix(transform)
+    sizes = []
+    inner = transform.evaluator
+
+    def evaluator(z):
+        sizes.append(len(z))
+        return inner(z)
+
+    transform.evaluator = evaluator
+    fixed(mixed_scale_points(2, seed=6, m=600))
+    chunk = 4 * wg.gauge.PROBE_CHUNK_ROWS
+    assert chunk == 1024
+    # three probe calls (256, 256 and 88 rows), then the 600 rows
+    assert sizes == [chunk, chunk, 4 * 88, 600]
+
+
+def test_gauge_fixed_batch_rejects_a_scaling_map(monkeypatch):
+    calls = []
+    origin_phase = wg.gauge.origin_phase
+
+    def recorded(transform, z, *args, images=None, **kwargs):
+        calls.append(images is not None)
+        return origin_phase(transform, z, *args, images=images, **kwargs)
+
+    monkeypatch.setattr(wg.gauge, "origin_phase", recorded)
+    with pytest.raises(NotProbabilityPreserving):
+        wg.gauge_fix(wg.make_adversary("scaling", 3, 0))
+    # the self-check probes the fixed map, whose first memo miss raises
+    assert calls == [False, True]
 
 
 def test_per_point_real_evaluator_gets_rows():

@@ -1,10 +1,11 @@
 """Exact counts of the base-map points each analysis pipeline evaluates,
 and of the steps a compiled spec runs per batch.
 
-Points, not evaluator calls, are counted: an (m, n) batch counts m, so
-the pins do not depend on how the pipelines batch their points. The
-counts are deterministic and do not depend on the machine. A change that
-alters one must update the pin and say why.
+Points are counted: an (m, n) batch counts m, so the point pins do not
+depend on how the pipelines batch their points. One pin counts evaluator
+calls as well, which is how batching shows. The counts are deterministic
+and do not depend on the machine. A change that alters one must update
+the pin and say why.
 """
 
 from pathlib import Path
@@ -31,12 +32,14 @@ ROTATION = (
 
 
 def count_points(transform):
-    """Wrap the evaluator of `transform`; the returned list holds the point count."""
-    points = [0]
+    """Wrap the evaluator of `transform`; the returned list holds the point
+    count, then the call count."""
+    points = [0, 0]
     inner = transform.evaluator
 
     def evaluator(z):
         points[0] += len(z) if np.ndim(z) == 2 else 1
+        points[1] += 1
         return inner(z)
 
     transform.evaluator = evaluator
@@ -47,9 +50,15 @@ def test_classify_dressed_linear_n4():
     transform = wg.make_symmetry(
         "linear", wg.haar_unitary(4, 7), wg.DressingSpec.random(4, 2, 8)
     )
-    points = count_points(transform)
+    counts = count_points(transform)
     assert wg.classify(transform).branch == "linear"
-    assert points[0] == 1039
+    assert counts[0] == 1039
+    # Calls: each fixed-map evaluation is one base call, plus one probe call
+    # when some row misses the memo. 48 = 1 preservation + 1 origin
+    # + 8 x 2 self-check + 4 x 2 Richardson + 2 reconstruction
+    # + 6 x 2 constancy + (4 + 2 x 2) smoothness. Probing each miss on its
+    # own took 205 = 1 + 1 + 40 + 36 + 51 + 54 + 22.
+    assert counts[1] == 48
 
 
 def test_classify_scaling_rejected():

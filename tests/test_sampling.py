@@ -154,6 +154,18 @@ def test_isometry_at_the_cap_peaks_below_the_loop():
     assert peak < 30e6
 
 
+def test_classify_at_the_cap_peaks_below_80_mb():
+    # About 76 MB here (74 MB before the gauge probes were batched): the
+    # reconstruction check's 10k points and their memo keys. Probing every
+    # memo miss in one call, without chunks of PROBE_CHUNK_ROWS, peaked at
+    # 188 MB.
+    dressing = wg.DressingSpec.random(64, 2, 1)
+    transform = wg.make_symmetry("linear", wg.haar_unitary(64, 0), dressing)
+    config = wg.ClassifyConfig(samples=MAX_SAMPLES)
+    peak = traced_peak(lambda: wg.classify(transform, config))
+    assert peak < 80e6
+
+
 def test_pair_counts_outside_the_range_raise_before_any_draw(monkeypatch):
     def no_rng(*args, **kwargs):
         raise AssertionError("a generator was made although the pair count is refused")

@@ -1,4 +1,5 @@
 import concurrent.futures
+import sys
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ def test_transformation_rejects_nonfinite_output():
 
 
 def test_gauge_fixed_transform_is_thread_safe():
-    # concurrent queries for the same points must match a serial replay
+    # concurrent queries for the same points, and concurrent batches that
+    # share rows, must match a serial replay
     dressing = wg.DressingSpec.random(3, 3, 71)
     transform = wg.make_symmetry("linear", wg.haar_unitary(3, 73), dressing)
     fixed = wg.gauge_fix(transform)
@@ -44,6 +46,23 @@ def test_gauge_fixed_transform_is_thread_safe():
     serial = {id(p): fixed(p) for p in points}
     for point, value in zip(points, concurrent_values):
         assert np.array_equal(value, serial[id(point)])
+
+    fixed = wg.gauge_fix(transform)
+    rows = wg.random_state(3, rng, (24,))
+    batches = [rows[np.arange(k, k + 12) % 24] for k in range(0, 24, 3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the memo bookkeeping
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            concurrent_values = list(pool.map(fixed, batches, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    replay = wg.gauge_fix(transform)
+    for batch, value in zip(batches, concurrent_values):
+        assert np.array_equal(value, fixed(batch))
+        expected = replay(batch)
+        deviation = np.abs(value - expected).max(axis=1)
+        assert (deviation <= 1e-13 * np.abs(expected).max(axis=1)).all()
 
 
 def test_jacobian_independent_of_evaluation_order():
