@@ -53,6 +53,13 @@ from .wirtinger import richardson_refine, wirtinger_jacobian
 
 SCHEMA_VERSION = 1
 
+# Steps outside this range leave the stencil to roundoff (z +- step == z away
+# from the origin) or to the map's curvature, and give wrong verdicts.
+STEP_RANGE = (1e-8, 1e-1)
+# A unitary at n <= 64 has an entry of modulus at least 1/8 in every row, so a
+# branch tolerance up to 0.1 still tells the two Jacobian blocks apart.
+TOL_BRANCH_MAX = 0.1
+
 _COMPLEX_PAIR = {
     "type": "array",
     "items": {"type": "number"},
@@ -185,6 +192,10 @@ def _validate_settings(args) -> None:
             raise SchemaError(f"{_option(name)} must be finite")
         elif value <= 0:
             raise SchemaError(f"{_option(name)} must be positive")
+        elif name == "step" and not STEP_RANGE[0] <= value <= STEP_RANGE[1]:
+            raise SchemaError(f"--step must be in [{STEP_RANGE[0]:g}, {STEP_RANGE[1]:g}]")
+        elif name == "tol_branch" and value > TOL_BRANCH_MAX:
+            raise SchemaError(f"--tol-branch must be at most {TOL_BRANCH_MAX:g}")
     if getattr(args, "levels", 0) not in range(0, 5):
         raise SchemaError("--levels must be in 0..4")
 

@@ -17,20 +17,28 @@ limit of theta(eps*z, z) as eps -> 0. Probing along w = eps*z keeps the
 overlap eps*|z|^2 real positive and never degenerate, and makes the same
 probe formula valid on both branches. The limit is taken numerically by
 second-order Richardson extrapolation over (eps, eps/2, eps/4), leaving
-an O(eps^3) residual. Probed phases are memoized per point behind a lock
-so repeated evaluation is deterministic and cheap; the probes of every
-point a batch misses in the memo are evaluated in one call.
+an O(eps^3) residual. Probed phases are memoized per point behind a lock,
+up to MEMO_MAX_POINTS points, so repeated evaluation is deterministic and
+cheap; the probes of every point a batch misses in the memo are evaluated
+in one call.
 
 All angles live in (-pi, pi]; comparisons are wrap-aware.
 """
 
 import math
+import sys
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePair, NotProbabilityPreserving, OriginNotFixed
+from .errors import (
+    DegeneratePair,
+    DimensionMismatch,
+    NonFiniteEvaluation,
+    NotProbabilityPreserving,
+    OriginNotFixed,
+)
 from .states import Transformation, as_state, random_state, zero_state
 
 PROBE_SCALE = 1e-4
@@ -42,8 +50,14 @@ REFERENCE_SAMPLES = 8
 RESIDUAL_PHASE_TOL = 1e-6
 # the point and its three probes, (1, eps, eps/2, eps/4) as a column
 _PROBES = np.array([1.0, PROBE_SCALE, PROBE_SCALE / 2.0, PROBE_SCALE / 4.0])[:, None]
+# the three probe scales as Python floats, so origin_phase reads with scalar arithmetic
+_EPS = tuple(_PROBES[1:, 0].tolist())
+# a probe overlap below the smallest normal float has lost its precision
+_MIN_NORMAL = sys.float_info.min
 # memo misses whose probes gauge_fix evaluates in one base call (4 points each)
 PROBE_CHUNK_ROWS = 256
+# gauge_fix's memo is cleared before a store would take it past this many points
+MEMO_MAX_POINTS = 16384
 
 _TWO_PI = 2.0 * math.pi
 
@@ -71,7 +85,8 @@ class PhaseSample:
 
 def _theta_from(numerator: complex, overlap: complex, preserve_tol: float) -> float:
     ratio = numerator / overlap
-    if abs(abs(ratio) - 1.0) > preserve_tol:
+    # written so that a NaN ratio fails too
+    if not abs(abs(ratio) - 1.0) <= preserve_tol:
         raise NotProbabilityPreserving(
             f"|<Tw|Tz>| / |<w|z>| = {abs(ratio):.6g}, expected 1 within {preserve_tol:g}"
         )
@@ -119,22 +134,45 @@ def origin_phase(
     increments so branch-cut crossings cannot corrupt it. The point and its
     three probes `_PROBES * z` are evaluated as one batch, unless `images`
     already holds their four images (shape (4, n), in that order); at z = 0
-    nothing is evaluated.
+    nothing is evaluated and the phase is 0.
+
+    Checks run in this order, before anything is evaluated:
+    DimensionMismatch unless `z` is one point of width n (a scalar counts
+    at n = 1); NonFiniteEvaluation for a non-finite component, or when
+    |z|^2 overflows (|z| above about 1e154); DegeneratePair when the
+    smallest probe overlap eps/4 * |z|^2 of a nonzero z falls below the
+    smallest normal float (|z| below about 3e-152), where the overlaps
+    have lost their digits; DimensionMismatch unless a given `images` has
+    shape (4, n). Reading the phases raises NotProbabilityPreserving when
+    a probe overlap modulus is not preserved, a NaN overlap included.
     """
-    z = as_state(z, transform.dimension)
+    n = transform.dimension
+    z = np.asarray(z, dtype=np.complex128)
+    if z.shape != (n,):
+        z = as_state(z, n)
     denom_base = float(np.vdot(z, z).real)  # eps * |z|^2 is the probe overlap
-    if denom_base == 0.0:
-        return 0.0
+    if not math.isfinite(denom_base):
+        as_state(z, n)  # raises first for a non-finite component
+        raise NonFiniteEvaluation("|z|^2 overflows although every component is finite")
+    if _EPS[2] * denom_base < _MIN_NORMAL:
+        if not z.any():
+            return 0.0
+        raise DegeneratePair(
+            f"probe overlap {_EPS[2]:g} * |z|^2 underflows below {_MIN_NORMAL:.3g}"
+        )
     if images is None:
         images = transform(_PROBES * z)
-    tz, *probes = images
-    thetas = [
-        _theta_from(complex(np.vdot(tw, tz)), eps * denom_base, preserve_tol)
-        for eps, tw in zip(_PROBES[1:, 0], probes)
-    ]
-    d1 = wrap_angle(thetas[1] - thetas[0])
-    d2 = wrap_angle(thetas[2] - thetas[1])
-    return wrap_angle(thetas[0] + (2.0 * d1 + 8.0 * d2) / 3.0)
+    elif np.shape(images) != (4, n):
+        raise DimensionMismatch(
+            f"expected images of shape (4, {n}), got {np.shape(images)}"
+        )
+    tz = images[0]
+    theta1 = _theta_from(complex(np.vdot(images[1], tz)), _EPS[0] * denom_base, preserve_tol)
+    theta2 = _theta_from(complex(np.vdot(images[2], tz)), _EPS[1] * denom_base, preserve_tol)
+    theta3 = _theta_from(complex(np.vdot(images[3], tz)), _EPS[2] * denom_base, preserve_tol)
+    d1 = wrap_angle(theta2 - theta1)
+    d2 = wrap_angle(theta3 - theta2)
+    return wrap_angle(theta1 + (2.0 * d1 + 8.0 * d2) / 3.0)
 
 
 @dataclass
@@ -162,7 +200,12 @@ def gauge_fix(
     skips the zero rows and looks the others up in the memo. The probes of
     the distinct rows that miss are evaluated in one base call per
     PROBE_CHUNK_ROWS rows, each row's phase is read from its four images
-    by origin_phase, and T is evaluated once on the nonzero rows.
+    by origin_phase, and T is evaluated once on the nonzero rows. The memo
+    is emptied before a store would take it past MEMO_MAX_POINTS points
+    (about 18 MB at n = 64), so it holds at most that many, or the misses
+    of one larger batch. A point probed again after that gets its phase
+    from a new base call, the same up to any roundoff by which the base
+    map's image of a row depends on the rest of its batch.
     """
     n = transform.dimension
     origin_image = transform(zero_state(n))
@@ -198,6 +241,8 @@ def gauge_fix(
                 for (key, _), row, row_images in zip(chunk, probed, images):
                     fresh[key] = -origin_phase(transform, row, preserve_tol, images=row_images)
             with lock:
+                if len(cache) + len(fresh) > MEMO_MAX_POINTS:
+                    cache.clear()
                 cache.update(fresh)
             phases = np.array(
                 [fresh[key] if hit is None else hit for key, hit in zip(keys, known)]

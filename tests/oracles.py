@@ -15,15 +15,23 @@ DivisionNearZero.
 written as a loop: one draw per vector, one record per pair, with
 `np.vdot` and `np.linalg.norm` on each pair. The array samplers must draw
 the same points and agree with them to roundoff.
+
+`reference_origin_phase` is `gauge.origin_phase` as first written: it
+re-validates the point with `as_state` and reads the three probe phases
+in a loop with numpy-scalar probe scales. The scalar reading must return
+the same floats and raise the same errors wherever this one is defined.
 """
 
 import cmath
+import math
 
 import numpy as np
 
 from wigner.classifier import PairRecord
 from wigner.dsl import BinOp, Literal, MatApply, Neg, TransformSpec, Var, walk
-from wigner.errors import DivisionNearZero
+from wigner.errors import DivisionNearZero, NotProbabilityPreserving
+from wigner.gauge import _PROBES, PRESERVE_TOL, wrap_angle
+from wigner.states import as_state
 
 
 def _forward(node, z, row, mats):
@@ -186,3 +194,30 @@ def reference_isometry(transform, num_pairs, seed, tol):
         for _ in range(num_pairs)
     ]
     return _reference_pairs(transform, pairs, lambda u, v: float(u @ v), tol)
+
+
+def _reference_theta_from(numerator, overlap, preserve_tol):
+    ratio = numerator / overlap
+    if abs(abs(ratio) - 1.0) > preserve_tol:
+        raise NotProbabilityPreserving(
+            f"|<Tw|Tz>| / |<w|z>| = {abs(ratio):.6g}, expected 1 within {preserve_tol:g}"
+        )
+    return wrap_angle(math.atan2(ratio.imag, ratio.real))
+
+
+def reference_origin_phase(transform, z, preserve_tol=PRESERVE_TOL, images=None):
+    """origin_phase with as_state validation and a loop over numpy-scalar eps."""
+    z = as_state(z, transform.dimension)
+    denom_base = float(np.vdot(z, z).real)
+    if denom_base == 0.0:
+        return 0.0
+    if images is None:
+        images = transform(_PROBES * z)
+    tz, *probes = images
+    thetas = [
+        _reference_theta_from(complex(np.vdot(tw, tz)), eps * denom_base, preserve_tol)
+        for eps, tw in zip(_PROBES[1:, 0], probes)
+    ]
+    d1 = wrap_angle(thetas[1] - thetas[0])
+    d2 = wrap_angle(thetas[2] - thetas[1])
+    return wrap_angle(thetas[0] + (2.0 * d1 + 8.0 * d2) / 3.0)

@@ -3,6 +3,7 @@ import pytest
 
 import wigner as wg
 from wigner.classifier import _decide_branch, _require_unitary
+from wigner.cli import STEP_RANGE
 from wigner.errors import (
     DimensionMismatch,
     MixedBranch,
@@ -154,6 +155,20 @@ def test_round_trip_small_corpus(kind, degree):
     small, large = sorted([result.origin_d_z_norm, result.origin_d_zbar_norm])
     assert small < 1e-4
     assert large > 0.5
+
+
+@pytest.mark.parametrize("step", STEP_RANGE)
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_generated_maps_classify_at_the_bounds_of_the_cli_step(n, step):
+    # the range has a decade of headroom below: at 1e-9 these maps still
+    # classify, at 1e-10 five of the dressed ones at n >= 2 fail to reconstruct
+    for kind in ("linear", "antilinear"):
+        for degree in (0, 3):
+            u = wg.haar_unitary(n, n + degree)
+            transform = wg.make_symmetry(kind, u, wg.DressingSpec.random(n, degree, n))
+            result = wg.classify(transform, wg.ClassifyConfig(step=step))
+            assert result.branch == kind
+            assert wg.align_global_phase(result.operator, u).aligned_residual < 1e-6
 
 
 def _compose(t1, t2):

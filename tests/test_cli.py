@@ -607,6 +607,20 @@ BAD_SETTINGS = [
     ("check", "--seed", "-1", "non-negative"),
     ("fuzz", "--seed", "-1", "non-negative"),
     ("mazur-ulam", "--seed", "-1", "non-negative"),
+    ("classify", "--step", "1e-300", "in [1e-08, 0.1]"),
+    ("classify", "--step", "1e-160", "in [1e-08, 0.1]"),
+    ("classify", "--step", "1e-13", "in [1e-08, 0.1]"),
+    ("classify", "--step", "9.9e-9", "in [1e-08, 0.1]"),
+    ("classify", "--step", "0.11", "in [1e-08, 0.1]"),
+    ("classify", "--step", "1e300", "in [1e-08, 0.1]"),
+    ("diff", "--step", "1e-300", "in [1e-08, 0.1]"),
+    ("fuzz", "--step", "1e-13", "in [1e-08, 0.1]"),
+    ("mazur-ulam", "--step", "1e300", "in [1e-08, 0.1]"),
+    ("classify", "--tol-branch", "1", "at most 0.1"),
+    ("classify", "--tol-branch", "1e300", "at most 0.1"),
+    ("classify", "--tol-branch", "0.11", "at most 0.1"),
+    ("diff", "--tol-branch", "1", "at most 0.1"),
+    ("fuzz", "--tol-branch", "1", "at most 0.1"),
 ]
 
 
@@ -621,6 +635,15 @@ def test_setting_that_would_skew_the_verdict_is_schema_error(
     assert (code, report["error"]) == (1, "schema_error")
     assert report["detail"] == f"{flag.split('=')[0]} must be {rule}"
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "setting", [("--step", "1e-8"), ("--step", "0.1"), ("--tol-branch", "0.1")]
+)
+def test_settings_at_their_bounds_classify_the_identity(tmp_path, capsys, setting):
+    spec = write_spec(tmp_path, IDENTITY)
+    code, report = run_json(["classify", "--spec", spec, *setting], capsys)
+    assert (code, report["verdict"], report["branch"]) == (0, "symmetry", "linear")
 
 
 def test_fuzz_csv_of_a_refused_manifest_is_the_header_alone(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,3 +200,46 @@ def test_gauge_memoization_is_deterministic():
     first = fixed(z)
     again = fixed(z.copy())
     assert np.array_equal(first, again)
+
+
+def test_gauge_memo_is_cleared_before_it_passes_its_bound(monkeypatch):
+    transform = wg.make_symmetry("linear", wg.haar_unitary(3, 8), wg.DressingSpec.random(3, 2, 8))
+    points = []
+
+    def evaluator(z):
+        points.append(len(z))
+        return transform(z)
+
+    fixed = wg.gauge_fix(wg.Transformation(evaluator, 3, vectorized=True))
+    monkeypatch.setattr(wg.gauge, "MEMO_MAX_POINTS", 4)
+    first, second = wg.random_state(3, np.random.default_rng(18), (2, 3))
+
+    def base_points(z):
+        points.clear()
+        image = fixed(z)
+        return image, sum(points)
+
+    image, probed = base_points(first)
+    assert probed == 3 * 4 + 3  # probes of the 3 misses, then the rows
+    assert base_points(first)[1] == 3  # all 3 found in the memo
+    assert base_points(second)[1] == 3 * 4 + 3  # 3 + 3 > 4: the memo is cleared
+    again, probed = base_points(first)
+    assert probed == 3 * 4 + 3
+    assert np.array_equal(again, image)
+
+
+def test_gauge_memo_retains_a_bounded_amount_on_fresh_points():
+    # Unbounded, the memo of an n = 64 wrapper retained 11 MB per 10000
+    # fresh points (57 MB after 5 batches). With MEMO_MAX_POINTS = 16384 the
+    # second batch clears it, and it keeps that batch's 10000 points alone.
+    # Two batches suffice: tracing makes each take about 1.5 s.
+    fixed = wg.gauge_fix(wg.make_symmetry("linear", wg.haar_unitary(64, 9)))
+    rng = np.random.default_rng(19)
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            fixed(wg.random_state(64, rng, (10000,)))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 16e6
