@@ -18,6 +18,7 @@ The reconstructed operator is canonical only up to a global phase, which
 is why oracle comparisons go through `align_global_phase`.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
     NotASymmetry,
     NotUnitary,
     ReconstructionMismatch,
+    SchemaError,
     ZeroReference,
 )
 from .gauge import PRESERVE_TOL, gauge_fix
@@ -47,11 +49,35 @@ DIMENSION_CAP = 64
 # most random pairs one preservation check draws (20 MB of points at n = 64)
 MAX_SAMPLES = 10_000
 
+# Steps outside this range leave the stencil to roundoff (z +- step == z away
+# from the origin) or to the map's curvature, and give wrong verdicts.
+STEP_RANGE = (1e-8, 1e-1)
+# A unitary at n <= 64 has an entry of modulus at least 1/8 in every row, so a
+# branch tolerance up to 0.1 still tells the two Jacobian blocks apart.
+TOL_BRANCH_MAX = 0.1
+
+
+def setting_problem(name: str, value: float) -> str | None:
+    """The bound that the value of the step or tolerance setting `name`
+    breaks, as "must be ...", or None if it keeps them all."""
+    if not math.isfinite(value):
+        return "must be finite"
+    if value <= 0:
+        return "must be positive"
+    if name == "step" and not STEP_RANGE[0] <= value <= STEP_RANGE[1]:
+        return f"must be in [{STEP_RANGE[0]:g}, {STEP_RANGE[1]:g}]"
+    if name == "tol_branch" and value > TOL_BRANCH_MAX:
+        return f"must be at most {TOL_BRANCH_MAX:g}"
+    return None
+
 
 @dataclass(frozen=True)
 class ClassifyConfig:
     """The run settings of `classify`; the CLI offers each field a
-    subcommand reads as --<name>, with this type and default."""
+    subcommand reads as --<name>, with this type and default.
+
+    Construction raises SchemaError for a step or tolerance that breaks a
+    bound of `setting_problem`, so nothing is evaluated with it."""
 
     step: float = DEFAULT_STEP
     tol_preserve: float = PRESERVE_TOL
@@ -59,6 +85,12 @@ class ClassifyConfig:
     tol_branch: float = 1e-4
     samples: int = 50
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("step", "tol_preserve", "tol_unitary", "tol_branch"):
+            problem = setting_problem(name, getattr(self, name))
+            if problem:
+                raise SchemaError(f"{name} {problem}")
 
 
 @dataclass(frozen=True)

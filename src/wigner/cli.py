@@ -23,7 +23,6 @@ import dataclasses
 import functools
 import io
 import json
-import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -35,10 +34,12 @@ from . import dsl
 from .classifier import (
     MAX_SAMPLES,
     ClassifyConfig,
+    PairRecord,
     align_global_phase,
     check_preservation,
     classify,
     require_preserved,
+    setting_problem,
 )
 from .errors import DimensionMismatch, NotASymmetry, NotIsometry, NotRealMap, SchemaError, WignerError
 from .generators import (
@@ -52,13 +53,6 @@ from .states import zero_state
 from .wirtinger import richardson_refine, wirtinger_jacobian
 
 SCHEMA_VERSION = 1
-
-# Steps outside this range leave the stencil to roundoff (z +- step == z away
-# from the origin) or to the map's curvature, and give wrong verdicts.
-STEP_RANGE = (1e-8, 1e-1)
-# A unitary at n <= 64 has an entry of modulus at least 1/8 in every row, so a
-# branch tolerance up to 0.1 still tells the two Jacobian blocks apart.
-TOL_BRANCH_MAX = 0.1
 
 _COMPLEX_PAIR = {
     "type": "array",
@@ -150,7 +144,10 @@ def _preservation_payload(report, with_pairs: bool = False) -> dict:
         "passed": report.passed,
     }
     if with_pairs:
-        block["pairs"] = [dataclasses.asdict(r) for r in report.records]
+        block["pairs"] = [
+            dict(zip(_PAIR_FIELDS, (label, *row)))
+            for label, row in zip(report.labels, report.columns.tolist())
+        ]
     return block
 
 
@@ -178,6 +175,11 @@ def _config_from_args(args) -> ClassifyConfig:
 
 
 def _validate_settings(args) -> None:
+    """Refuse a bad setting, named by its option, before anything runs.
+
+    ClassifyConfig bounds the step and tolerances itself, but check, diff
+    and mazur-ulam read theirs from `args`; the seed, the sample count and
+    --levels are bounded here alone."""
     for name in _COMMANDS[args.command].settings:
         value = getattr(args, name)
         if name == "seed":
@@ -188,14 +190,8 @@ def _validate_settings(args) -> None:
                 raise SchemaError("--samples must be at least 1")
             if value > MAX_SAMPLES:
                 raise SchemaError(f"--samples must be at most {MAX_SAMPLES}")
-        elif not math.isfinite(value):
-            raise SchemaError(f"{_option(name)} must be finite")
-        elif value <= 0:
-            raise SchemaError(f"{_option(name)} must be positive")
-        elif name == "step" and not STEP_RANGE[0] <= value <= STEP_RANGE[1]:
-            raise SchemaError(f"--step must be in [{STEP_RANGE[0]:g}, {STEP_RANGE[1]:g}]")
-        elif name == "tol_branch" and value > TOL_BRANCH_MAX:
-            raise SchemaError(f"--tol-branch must be at most {TOL_BRANCH_MAX:g}")
+        elif problem := setting_problem(name, value):
+            raise SchemaError(f"{_option(name)} {problem}")
     if getattr(args, "levels", 0) not in range(0, 5):
         raise SchemaError("--levels must be in 0..4")
 
@@ -235,7 +231,8 @@ def _cmd_check(args) -> tuple[int, dict]:
         code, payload = _error_payload(exc)
     else:
         code, payload = 0, {"verdict": "preserving"}
-    payload["preservation"] = _preservation_payload(report, with_pairs=True)
+    # the human format never prints the pair listing
+    payload["preservation"] = _preservation_payload(report, with_pairs=args.format != "human")
     return code, payload
 
 
@@ -428,7 +425,8 @@ def _to_json(report: dict) -> str:
 _FUZZ_CSV_FIELDS = (
     "index", "kind", "n", "seed", "dressing_degree", "status", "branch", "residual", "error"
 )
-_CHECK_CSV_FIELDS = ("label", "norm_w", "norm_z", "expected", "deviation")
+# the keys of each entry of `check`'s pair listing, in JSON and CSV
+_PAIR_FIELDS = tuple(f.name for f in dataclasses.fields(PairRecord))
 _CSV_SCALAR_FIELDS = (
     "verdict",
     "error",
@@ -454,7 +452,7 @@ def _to_csv(report: dict) -> str:
         # a report refused on its manifest has no instances
         return _csv_listing(_FUZZ_CSV_FIELDS, report.get("instances", []))
     if command == "check" and "preservation" in report:
-        return _csv_listing(_CHECK_CSV_FIELDS, report["preservation"]["pairs"])
+        return _csv_listing(_PAIR_FIELDS, report["preservation"]["pairs"])
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     if command == "diff":

@@ -134,6 +134,6 @@ class DivisionNearZero(WignerError):
 
 
 class SchemaError(WignerError):
-    """A JSON input file (constants, manifest) violates its schema."""
+    """A JSON input file (constants, manifest) or a setting violates its schema."""
 
     exit_code = 1

@@ -19,8 +19,8 @@ probe formula valid on both branches. The limit is taken numerically by
 second-order Richardson extrapolation over (eps, eps/2, eps/4), leaving
 an O(eps^3) residual. Probed phases are memoized per point behind a lock,
 up to MEMO_MAX_POINTS points, so repeated evaluation is deterministic and
-cheap; the probes of every point a batch misses in the memo are evaluated
-in one call.
+cheap; the probes of the points a batch misses in the memo are evaluated
+in one base call per PROBE_CHUNK_ROWS = 64 points (256 probe points).
 
 All angles live in (-pi, pi]; comparisons are wrap-aware.
 """
@@ -54,8 +54,10 @@ _PROBES = np.array([1.0, PROBE_SCALE, PROBE_SCALE / 2.0, PROBE_SCALE / 4.0])[:, 
 _EPS = tuple(_PROBES[1:, 0].tolist())
 # a probe overlap below the smallest normal float has lost its precision
 _MIN_NORMAL = sys.float_info.min
-# memo misses whose probes gauge_fix evaluates in one base call (4 points each)
-PROBE_CHUNK_ROWS = 256
+# memo misses whose probes gauge_fix evaluates in one base call (4 points each,
+# so 256 points): a one-batch Wirtinger stencil at n = 64 misses on 256 rows,
+# and the dressed base map costs more per point in calls of 1024 points
+PROBE_CHUNK_ROWS = 64
 # gauge_fix's memo is cleared before a store would take it past this many points
 MEMO_MAX_POINTS = 16384
 
@@ -175,6 +177,11 @@ def origin_phase(
     return wrap_angle(theta1 + (2.0 * d1 + 8.0 * d2) / 3.0)
 
 
+def _probe_points(rows: np.ndarray) -> np.ndarray:
+    """Each row of an (m, n) array followed by its three probes, (4m, n)."""
+    return (_PROBES * rows[:, None, :]).reshape(-1, rows.shape[-1])
+
+
 @dataclass
 class GaugeFixedTransformation(Transformation):
     """A transformation multiplied by exp(i*alpha(z)) so its origin phase vanishes."""
@@ -190,9 +197,10 @@ def gauge_fix(
     Requires T(0) = 0 within ORIGIN_TOL (raises OriginNotFixed otherwise;
     a map that moves the origin cannot be a candidate symmetry). After
     construction the residual origin phase is re-measured on
-    REFERENCE_SAMPLES points drawn from `seed` and must vanish within
-    RESIDUAL_PHASE_TOL, which it does for any map preserving overlap
-    moduli; a violation is reported as NotProbabilityPreserving.
+    REFERENCE_SAMPLES points drawn from `seed`, whose probes the fixed map
+    evaluates as one batch, and must vanish within RESIDUAL_PHASE_TOL,
+    which it does for any map preserving overlap moduli; a violation is
+    reported as NotProbabilityPreserving.
 
     The wrapped evaluator returns exactly 0 at z = 0 and
     exp(i*alpha(z)) * T(z) elsewhere, with alpha(z) = -origin_phase(z)
@@ -236,8 +244,7 @@ def gauge_fix(
             for start in range(0, len(pending), PROBE_CHUNK_ROWS):
                 chunk = pending[start : start + PROBE_CHUNK_ROWS]
                 probed = points[[k for _, k in chunk]]
-                images = transform((_PROBES * probed[:, None, :]).reshape(-1, n))
-                images = images.reshape(len(chunk), len(_PROBES), n)
+                images = transform(_probe_points(probed)).reshape(len(chunk), len(_PROBES), n)
                 for (key, _), row, row_images in zip(chunk, probed, images):
                     fresh[key] = -origin_phase(transform, row, preserve_tol, images=row_images)
             with lock:
@@ -254,9 +261,10 @@ def gauge_fix(
         evaluator=evaluator, dimension=n, vectorized=True, base=transform
     )
 
-    rng = np.random.default_rng(seed)
-    for _ in range(REFERENCE_SAMPLES):
-        residual = origin_phase(fixed, random_state(n, rng), preserve_tol)
+    references = random_state(n, np.random.default_rng(seed), (REFERENCE_SAMPLES,))
+    images = fixed(_probe_points(references)).reshape(REFERENCE_SAMPLES, len(_PROBES), n)
+    for z, z_images in zip(references, images):
+        residual = origin_phase(fixed, z, preserve_tol, images=z_images)
         if angle_distance(residual, 0.0) > RESIDUAL_PHASE_TOL:
             raise NotProbabilityPreserving(
                 f"residual origin phase {residual:.3g} after gauge fixing"

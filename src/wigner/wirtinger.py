@@ -52,19 +52,23 @@ class WirtingerJacobian:
         return float(np.abs(self.d_zbar).max())
 
 
-def _central_differences(transform, at: np.ndarray, step: float, unit=1.0) -> np.ndarray:
-    """Matrix whose column nu is (T(at + h e_nu) - T(at - h e_nu)) / (2 step).
+def _central_differences(transform, at: np.ndarray, step: float, units) -> np.ndarray:
+    """Stack of matrices, one per axis unit u in `units`: column nu of each
+    is (T(at + h e_nu) - T(at - h e_nu)) / (2 step) with h = u * step.
 
-    The probe offset is h = unit * step: unit 1 differentiates along the
-    real axes, unit i along the imaginary ones. Costs 2n evaluations, sent
-    as one batch.
+    Unit 1 differentiates along the real axes, unit i along the imaginary
+    ones. Costs 2n evaluations per unit, all sent as one batch: the +h and
+    -h offsets of the first unit, then those of the next.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     n = transform.dimension
-    offsets = unit * step * np.eye(n)
-    images = transform(np.concatenate([at + offsets, at - offsets]))
-    return ((images[:n] - images[n:]) / (2.0 * step)).T
+    points = []
+    for unit in units:
+        offsets = unit * step * np.eye(n)
+        points += [at + offsets, at - offsets]
+    images = transform(np.concatenate(points)).reshape(len(units), 2, n, n)
+    return ((images[:, 0] - images[:, 1]) / (2.0 * step)).transpose(0, 2, 1)
 
 
 def wirtinger_jacobian(
@@ -72,14 +76,13 @@ def wirtinger_jacobian(
 ) -> WirtingerJacobian:
     """Both Wirtinger matrices of `transform` at `at` by central differences.
 
-    Uses 4n evaluations: +-step along each real axis and +-i*step along each
-    imaginary axis. Entries are accurate to O(step^2) for thrice
-    differentiable maps. Raises NonFiniteEvaluation if any probe returns
+    Uses 4n evaluations, sent as one batch: +-step along each real axis and
+    +-i*step along each imaginary axis. Entries are accurate to O(step^2)
+    for thrice differentiable maps. Raises NonFiniteEvaluation if any probe returns
     NaN/Inf and DimensionMismatch if the evaluator changes dimension.
     """
     z = as_state(at, transform.dimension)
-    df_dx = _central_differences(transform, z, step)
-    df_dy = _central_differences(transform, z, step, 1j)
+    df_dx, df_dy = _central_differences(transform, z, step, (1.0, 1j))
     d_z, d_zbar = 0.5 * (df_dx - 1j * df_dy), 0.5 * (df_dx + 1j * df_dy)
     return WirtingerJacobian(d_z=d_z, d_zbar=d_zbar, at=z, step=float(step))
 
@@ -150,8 +153,8 @@ def real_jacobian(transform, at, step: float = DEFAULT_STEP) -> np.ndarray:
     """Central-difference Jacobian of a real map: the x-half of the stencil.
 
     `transform` maps float64 vectors on R^n to float64 vectors, like a
-    `RealTransformation`; shared by the real Euclidean analysis.
+    `RealTransformation`; shared by the real Euclidean analysis. Uses 2n
+    evaluations, sent as one batch.
     """
-    return _central_differences(
-        transform, as_state(at, transform.dimension, np.float64), step
-    )
+    x = as_state(at, transform.dimension, np.float64)
+    return _central_differences(transform, x, step, (1.0,))[0]

@@ -20,6 +20,11 @@ the same points and agree with them to roundoff.
 re-validates the point with `as_state` and reads the three probe phases
 in a loop with numpy-scalar probe scales. The scalar reading must return
 the same floats and raise the same errors wherever this one is defined.
+
+`reference_wirtinger_jacobian` is the two-call stencil: one evaluator
+call for the +-h offsets along the real axes, then one for the +-i*h
+offsets along the imaginary axes. The one-batch stencil evaluates the
+same points and must agree with it to roundoff.
 """
 
 import cmath
@@ -221,3 +226,18 @@ def reference_origin_phase(transform, z, preserve_tol=PRESERVE_TOL, images=None)
     d1 = wrap_angle(thetas[1] - thetas[0])
     d2 = wrap_angle(thetas[2] - thetas[1])
     return wrap_angle(thetas[0] + (2.0 * d1 + 8.0 * d2) / 3.0)
+
+
+def _reference_central_differences(transform, at, step, unit):
+    n = transform.dimension
+    offsets = unit * step * np.eye(n)
+    images = transform(np.concatenate([at + offsets, at - offsets]))
+    return ((images[:n] - images[n:]) / (2.0 * step)).T
+
+
+def reference_wirtinger_jacobian(transform, at, step):
+    """(d_z, d_zbar) from one stencil call per real axis direction."""
+    z = as_state(at, transform.dimension)
+    df_dx = _reference_central_differences(transform, z, step, 1.0)
+    df_dy = _reference_central_differences(transform, z, step, 1j)
+    return 0.5 * (df_dx - 1j * df_dy), 0.5 * (df_dx + 1j * df_dy)

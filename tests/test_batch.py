@@ -175,7 +175,7 @@ def test_gauge_fixed_batch_matches_per_row_reference(kind, n):
 
 
 def test_gauge_fixed_batch_across_probe_chunks():
-    # 600 rows, 596 distinct nonzero ones: three chunks of probes
+    # 600 rows, 596 distinct nonzero ones: ten chunks of probes
     dressing = wg.DressingSpec.random(2, 4, 4)
     transform = wg.make_symmetry("antilinear", wg.haar_unitary(2, 4), dressing)
     fixed = wg.gauge_fix(transform)
@@ -222,9 +222,9 @@ def test_gauge_fixed_batch_bounds_each_base_call():
     transform.evaluator = evaluator
     fixed(mixed_scale_points(2, seed=6, m=600))
     chunk = 4 * wg.gauge.PROBE_CHUNK_ROWS
-    assert chunk == 1024
-    # three probe calls (256, 256 and 88 rows), then the 600 rows
-    assert sizes == [chunk, chunk, 4 * 88, 600]
+    assert chunk == 256
+    # ten probe calls (nine of 64 rows, then 600 - 9 x 64 = 24), then the 600 rows
+    assert sizes == [chunk] * 9 + [4 * 24, 600]
 
 
 def test_gauge_fixed_batch_rejects_a_scaling_map(monkeypatch):
@@ -238,8 +238,9 @@ def test_gauge_fixed_batch_rejects_a_scaling_map(monkeypatch):
     monkeypatch.setattr(wg.gauge, "origin_phase", recorded)
     with pytest.raises(NotProbabilityPreserving):
         wg.gauge_fix(wg.make_adversary("scaling", 3, 0))
-    # the self-check probes the fixed map, whose first memo miss raises
-    assert calls == [False, True]
+    # the self-check evaluates the probes of its samples on the fixed map
+    # in one batch, whose first memo miss raises before any reading
+    assert calls == [True]
 
 
 def test_per_point_real_evaluator_gets_rows():

@@ -1,14 +1,17 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 import wigner as wg
-from wigner.classifier import _decide_branch, _require_unitary
-from wigner.cli import STEP_RANGE
+from wigner.classifier import STEP_RANGE, TOL_BRANCH_MAX, _decide_branch, _require_unitary
 from wigner.errors import (
     DimensionMismatch,
     MixedBranch,
     NotASymmetry,
     NotUnitary,
+    SchemaError,
     ZeroReference,
 )
 from wigner.wirtinger import WirtingerJacobian
@@ -169,6 +172,36 @@ def test_generated_maps_classify_at_the_bounds_of_the_cli_step(n, step):
             result = wg.classify(transform, wg.ClassifyConfig(step=step))
             assert result.branch == kind
             assert wg.align_global_phase(result.operator, u).aligned_residual < 1e-6
+
+
+BAD_CONFIGS = [
+    # at 1e-10, five dressed maps of the test above fail to reconstruct
+    ("step", 1e-10, "step must be in [1e-08, 0.1]"),
+    ("step", 0.2, "step must be in [1e-08, 0.1]"),
+    ("step", math.nan, "step must be finite"),
+    ("step", -1e-5, "step must be positive"),
+    ("tol_preserve", math.inf, "tol_preserve must be finite"),
+    ("tol_preserve", 0.0, "tol_preserve must be positive"),
+    ("tol_unitary", math.nan, "tol_unitary must be finite"),
+    ("tol_unitary", -1e-6, "tol_unitary must be positive"),
+    ("tol_branch", 0.2, "tol_branch must be at most 0.1"),
+    ("tol_branch", math.nan, "tol_branch must be finite"),
+]
+
+
+@pytest.mark.parametrize("name, value, detail", BAD_CONFIGS)
+def test_classify_config_refuses_a_setting_that_would_skew_the_verdict(name, value, detail):
+    with pytest.raises(SchemaError) as raised:
+        wg.ClassifyConfig(**{name: value})
+    assert str(raised.value) == detail
+    with pytest.raises(SchemaError):
+        dataclasses.replace(wg.ClassifyConfig(), **{name: value})
+
+
+def test_classify_config_accepts_its_bounds():
+    for step in STEP_RANGE:
+        assert wg.ClassifyConfig(step=step).step == step
+    assert wg.ClassifyConfig(tol_branch=TOL_BRANCH_MAX).tol_branch == TOL_BRANCH_MAX
 
 
 def _compose(t1, t2):

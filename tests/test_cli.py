@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import subprocess
@@ -132,6 +133,17 @@ def test_check_and_classify_report_one_preservation_failure(tmp_path, capsys, te
     listed = dict(check["preservation"])
     del listed["pairs"]
     assert listed == classified["preservation"]
+
+
+@pytest.mark.parametrize("text", (IDENTITY, NORM_WARP))
+def test_check_pair_listing_holds_each_record(tmp_path, capsys, text):
+    spec = write_spec(tmp_path, text)
+    _, report = run_json(["check", "--spec", spec, "--samples", "7", "--seed", "3"], capsys)
+    transform = wg.compile_to_transformation(wg.dsl.parse(text))
+    records = wg.check_preservation(transform, 7, 3, wg.gauge.PRESERVE_TOL).records
+    assert report["preservation"]["pairs"] == [dataclasses.asdict(r) for r in records]
+    _, out = run_cli(["check", "--spec", spec, "--format", "csv"], capsys)
+    assert out.splitlines()[0] == "label,norm_w,norm_z,expected,deviation"
 
 
 def test_diff_identity(tmp_path, capsys):

@@ -54,11 +54,16 @@ def test_classify_dressed_linear_n4():
     assert wg.classify(transform).branch == "linear"
     assert counts[0] == 1039
     # Calls: each fixed-map evaluation is one base call, plus one probe call
-    # when some row misses the memo. 48 = 1 preservation + 1 origin
-    # + 8 x 2 self-check + 4 x 2 Richardson + 2 reconstruction
-    # + 6 x 2 constancy + (4 + 2 x 2) smoothness. Probing each miss on its
-    # own took 205 = 1 + 1 + 40 + 36 + 51 + 54 + 22.
-    assert counts[1] == 48
+    # when some row misses the memo (at most 64 misses per probe call, and
+    # no batch here misses more). Each Wirtinger stencil is one fixed-map
+    # evaluation, and so are the self-check's 8 x 4 probe points. 20 =
+    # 1 preservation + 1 origin + 2 self-check + 2 x 2 Richardson
+    # + 2 reconstruction + 3 x 2 constancy + (1 + 1 + 2) smoothness, where
+    # the smoothness stencils at step and step/2 hit the memo. With two
+    # stencil calls per Jacobian and one self-check call per sample it took
+    # 48 = 1 + 1 + 8 x 2 + 4 x 2 + 2 + 6 x 2 + (4 + 2 x 2), and probing each
+    # miss on its own 205 = 1 + 1 + 40 + 36 + 51 + 54 + 22.
+    assert counts[1] == 20
 
 
 def test_classify_scaling_rejected():

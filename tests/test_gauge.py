@@ -243,3 +243,46 @@ def test_gauge_memo_retains_a_bounded_amount_on_fresh_points():
     finally:
         tracemalloc.stop()
     assert retained < 16e6
+
+
+def test_self_check_evaluates_the_fixed_map_once(monkeypatch):
+    n = 3
+    fixed_calls = []
+
+    class RecordedFixed(wg.gauge.GaugeFixedTransformation):
+        def __call__(self, z):
+            fixed_calls.append(np.shape(z))
+            return super().__call__(z)
+
+    readings = []
+    origin_phase = wg.gauge.origin_phase
+
+    def recorded(transform, z, *args, images=None, **kwargs):
+        if isinstance(transform, RecordedFixed):
+            readings.append((z.copy(), images is not None))
+        return origin_phase(transform, z, *args, images=images, **kwargs)
+
+    monkeypatch.setattr(wg.gauge, "GaugeFixedTransformation", RecordedFixed)
+    monkeypatch.setattr(wg.gauge, "origin_phase", recorded)
+    transform = wg.make_symmetry("linear", wg.haar_unitary(n, 4), wg.DressingSpec.random(n, 2, 4))
+    base_calls = []
+    inner = transform.evaluator
+
+    def evaluator(z):
+        base_calls.append(np.shape(z))
+        return inner(z)
+
+    transform.evaluator = evaluator
+    wg.gauge_fix(transform, seed=5)
+    samples = wg.gauge.REFERENCE_SAMPLES
+    # one fixed-map call on the samples' probe points, then a reading per
+    # sample from its four images
+    assert fixed_calls == [(4 * samples, n)]
+    # the origin, the probes of the 4 x 8 memo misses, then their rows
+    assert base_calls == [(n,), (4 * 4 * samples, n), (4 * samples, n)]
+    # the same samples, bit for bit, as one draw per sample in a loop
+    rng = np.random.default_rng(5)
+    expected = [wg.random_state(n, rng) for _ in range(samples)]
+    assert len(readings) == samples
+    for (z, given), reference in zip(readings, expected):
+        assert given and np.array_equal(z, reference)

@@ -1,8 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import wigner as wg
+from wigner import dsl
 from wigner.errors import DimensionMismatch, NonFiniteEvaluation
+from wigner.generators import SYMMETRY_KINDS
+
+from oracles import reference_wirtinger_jacobian
+
+CORPUS = Path(__file__).parent / "corpus"
 
 
 def identity(n=3):
@@ -194,3 +202,70 @@ def test_step_halving_second_order(step):
         )
 
     assert err(step) / err(step / 2) >= 3.5
+
+
+def record_calls(transform):
+    """Wrap the evaluator of `transform`; the list holds a copy of each argument."""
+    calls = []
+    inner = transform.evaluator
+
+    def evaluator(z):
+        calls.append(np.array(z))
+        return inner(z)
+
+    transform.evaluator = evaluator
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_wirtinger_jacobian_is_one_call_of_4n_points(n):
+    u = wg.haar_unitary(n, n)
+    transform = wg.make_symmetry("linear", u, wg.DressingSpec.random(n, 2, n))
+    calls = record_calls(transform)
+    at = wg.random_state(n, np.random.default_rng(n))
+    wg.wirtinger_jacobian(transform, at)
+    assert [c.shape for c in calls] == [(4 * n, n)]
+    # the points of the two-call stencil, bit for bit and in their order
+    reference_wirtinger_jacobian(transform, at, wg.wirtinger.DEFAULT_STEP)
+    assert np.array_equal(calls[0], np.concatenate(calls[1:]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_real_jacobian_is_one_call_of_2n_points(n):
+    q = wg.haar_orthogonal(n, n)
+    transform = wg.RealTransformation(lambda u: u @ q.T, n, vectorized=True)
+    calls = record_calls(transform)
+    jacobian = wg.real_jacobian(transform, np.random.default_rng(n).standard_normal(n))
+    assert [c.shape for c in calls] == [(2 * n, n)]
+    assert np.abs(jacobian - q).max() < 1e-9
+
+
+def assert_matches_two_call_stencil(one_batch, two_calls, points, step=1e-5):
+    """The one-batch Jacobian of `one_batch` against the two-call stencil of
+    `two_calls` (the same map, or a copy whose state the first cannot share),
+    within 1e-13 relative to the larger block."""
+    for z in points:
+        jac = wg.wirtinger_jacobian(one_batch, z, step)
+        d_z, d_zbar = reference_wirtinger_jacobian(two_calls, z, step)
+        scale = max(np.abs(d_z).max(), np.abs(d_zbar).max())
+        assert np.abs(jac.d_z - d_z).max() <= 1e-13 * scale
+        assert np.abs(jac.d_zbar - d_zbar).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+@pytest.mark.parametrize("kind", SYMMETRY_KINDS)
+def test_one_batch_stencil_matches_two_calls_on_generated_maps(kind, n):
+    transform = wg.make_symmetry(kind, wg.haar_unitary(n, n + 1), wg.DressingSpec.random(n, 3, n))
+    points = [wg.zero_state(n), *wg.random_state(n, np.random.default_rng(n), (2,))]
+    assert_matches_two_call_stencil(transform, transform, points)
+    # the gauge-fixed map, as classify differentiates it: each stencil on its
+    # own wrapper, so neither reads phases the other put in the memo
+    assert_matches_two_call_stencil(wg.gauge_fix(transform), wg.gauge_fix(transform), points)
+
+
+@pytest.mark.parametrize("spec", sorted(CORPUS.glob("*.wig")), ids=lambda p: p.stem)
+def test_one_batch_stencil_matches_two_calls_on_corpus_specs(spec):
+    constants = dsl.load_constants(CORPUS / "constants.json")
+    transform = dsl.compile_to_transformation(dsl.parse(spec.read_text()), constants)
+    points = wg.random_state(transform.dimension, np.random.default_rng(3), (3,))
+    assert_matches_two_call_stencil(transform, transform, points)
