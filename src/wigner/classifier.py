@@ -18,8 +18,9 @@ The reconstructed operator is canonical only up to a global phase, which
 is why oracle comparisons go through `align_global_phase`.
 """
 
-import math
+import sys
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -57,10 +58,21 @@ STEP_RANGE = (1e-8, 1e-1)
 TOL_BRANCH_MAX = 0.1
 
 
-def setting_problem(name: str, value: float) -> str | None:
-    """The bound that the value of the step or tolerance setting `name`
-    breaks, as "must be ...", or None if it keeps them all."""
-    if not math.isfinite(value):
+def setting_problem(name: str, value) -> str | None:
+    """Every setting bound: the one `value` breaks, as "must be ...", or None.
+    `name` is a ClassifyConfig field, `num_pairs` (a sample count) or a tolerance."""
+    integral = name in ("samples", "num_pairs", "seed")
+    kinds = (int, Integral) if integral else (float, int, Real)  # builtins first: ABCs are slow
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if integral else "a real number"
+        return f"must be {kind}, got {type(value).__name__}"
+    if name == "seed":
+        return "must be non-negative" if value < 0 else None
+    if integral and not 1 <= value <= MAX_SAMPLES:  # a sample count
+        return "must be at least 1" if value < 1 else f"must be at most {MAX_SAMPLES}"
+    if integral:
+        return None
+    if not abs(value) <= sys.float_info.max:  # NaN, +-inf or an int past every float
         return "must be finite"
     if value <= 0:
         return "must be positive"
@@ -71,13 +83,20 @@ def setting_problem(name: str, value: float) -> str | None:
     return None
 
 
+def require_settings(settings: dict, label=str) -> None:
+    """Raise SchemaError, naming label(name), for the first name: value out of bounds."""
+    for name, value in settings.items():
+        if problem := setting_problem(name, value):
+            raise SchemaError(f"{label(name)} {problem}")
+
+
 @dataclass(frozen=True)
 class ClassifyConfig:
     """The run settings of `classify`; the CLI offers each field a
     subcommand reads as --<name>, with this type and default.
 
-    Construction raises SchemaError for a step or tolerance that breaks a
-    bound of `setting_problem`, so nothing is evaluated with it."""
+    Construction raises SchemaError for any field that breaks a bound of
+    `setting_problem`, so nothing is evaluated with it."""
 
     step: float = DEFAULT_STEP
     tol_preserve: float = PRESERVE_TOL
@@ -87,10 +106,7 @@ class ClassifyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("step", "tol_preserve", "tol_unitary", "tol_branch"):
-            problem = setting_problem(name, getattr(self, name))
-            if problem:
-                raise SchemaError(f"{name} {problem}")
+        require_settings(vars(self))
 
 
 @dataclass(frozen=True)
@@ -182,10 +198,9 @@ def check_preservation(
     Specials always include the zero vector, every basis vector against a
     fixed random anchor, an orthogonal pair, a parallel pair and a scaled
     parallel pair; `num_pairs` (1..MAX_SAMPLES) standard complex Gaussian
-    pairs follow. Deterministic given `seed`.
+    pairs follow. Deterministic given `seed`; SchemaError for a bad setting.
     """
-    if not 1 <= num_pairs <= MAX_SAMPLES:
-        raise ValueError(f"num_pairs must be in 1..{MAX_SAMPLES}")
+    require_settings({"num_pairs": num_pairs, "seed": seed, "tol": tol})
     n = transform.dimension
     rng = np.random.default_rng(seed)
     anchor, parallel = random_state(n, rng, (2,))
@@ -218,6 +233,7 @@ def sample_pairs(transform, labels, points, product, tol: float) -> Preservation
     expected = product(points[:, 0], points[:, 1])
     images = transform(points.reshape(-1, points.shape[-1])).reshape(points.shape)
     deviation = np.abs(product(images[:, 0], images[:, 1]) - expected)
+    deviation[np.isnan(deviation)] = np.inf  # an overflowed product misses by all
     worst = float(deviation.max())
     return PreservationReport(
         pairs_tested=len(labels),

@@ -13,7 +13,8 @@ error type carries its report code and exit code; see wigner.errors.
 Reports are JSON by default (schema version 1, complex numbers always as
 [re, im] pairs, operators row-major); --format csv and --format human are
 also available. With --no-timestamp the generated_at and timing_ms fields
-are suppressed so identical runs produce byte-identical reports. All
+are suppressed so identical runs produce byte-identical reports. JSON
+reports are strict: a non-finite number is written as null. All
 randomness flows from --seed (default 0).
 """
 
@@ -23,6 +24,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -32,14 +34,13 @@ import numpy as np
 
 from . import dsl
 from .classifier import (
-    MAX_SAMPLES,
     ClassifyConfig,
     PairRecord,
     align_global_phase,
     check_preservation,
     classify,
     require_preserved,
-    setting_problem,
+    require_settings,
 )
 from .errors import DimensionMismatch, NotASymmetry, NotIsometry, NotRealMap, SchemaError, WignerError
 from .generators import (
@@ -54,9 +55,11 @@ from .wirtinger import richardson_refine, wirtinger_jacobian
 
 SCHEMA_VERSION = 1
 
+# strict JSON has no NaN or infinity, so a report writes a non-finite float as null
+_REAL = {"type": ["number", "null"]}
 _COMPLEX_PAIR = {
     "type": "array",
-    "items": {"type": "number"},
+    "items": _REAL,
     "minItems": 2,
     "maxItems": 2,
 }
@@ -69,8 +72,8 @@ _PRESERVATION_BLOCK = {
     "required": ["pairs_tested", "max_deviation", "tolerance", "passed"],
     "properties": {
         "pairs_tested": {"type": "integer"},
-        "max_deviation": {"type": "number"},
-        "tolerance": {"type": "number"},
+        "max_deviation": _REAL,
+        "tolerance": _REAL,
         "passed": {"type": "boolean"},
         "pairs": {"type": "array"},
     },
@@ -89,21 +92,21 @@ REPORT_SCHEMA = {
         "detail": {"type": "string"},
         "branch": {"enum": ["linear", "antilinear"]},
         "operator": _COMPLEX_MATRIX,
-        "operator_real": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
-        "unitarity_residual": {"type": "number"},
-        "reconstruction_residual": {"type": "number"},
-        "orthogonality_residual": {"type": "number"},
-        "origin_d_z_norm": {"type": "number"},
-        "origin_d_zbar_norm": {"type": "number"},
+        "operator_real": {"type": "array", "items": {"type": "array", "items": _REAL}},
+        "unitarity_residual": _REAL,
+        "reconstruction_residual": _REAL,
+        "orthogonality_residual": _REAL,
+        "origin_d_z_norm": _REAL,
+        "origin_d_zbar_norm": _REAL,
         "smoothness": {"type": "object"},
         "caveats": {"type": "array", "items": {"type": "string"}},
         "preservation": _PRESERVATION_BLOCK,
         "isometry": _PRESERVATION_BLOCK,
         "d_z": _COMPLEX_MATRIX,
         "d_zbar": _COMPLEX_MATRIX,
-        "d_zbar_max": {"type": "number"},
+        "d_zbar_max": _REAL,
         "point": {"type": "array", "items": _COMPLEX_PAIR},
-        "step": {"type": "number"},
+        "step": _REAL,
         "levels": {"type": "integer"},
         "counts": {"type": "object"},
         "instances": {"type": "array"},
@@ -177,21 +180,10 @@ def _config_from_args(args) -> ClassifyConfig:
 def _validate_settings(args) -> None:
     """Refuse a bad setting, named by its option, before anything runs.
 
-    ClassifyConfig bounds the step and tolerances itself, but check, diff
-    and mazur-ulam read theirs from `args`; the seed, the sample count and
-    --levels are bounded here alone."""
-    for name in _COMMANDS[args.command].settings:
-        value = getattr(args, name)
-        if name == "seed":
-            if value < 0:
-                raise SchemaError("--seed must be non-negative")
-        elif name == "samples":
-            if value < 1:
-                raise SchemaError("--samples must be at least 1")
-            if value > MAX_SAMPLES:
-                raise SchemaError(f"--samples must be at most {MAX_SAMPLES}")
-        elif problem := setting_problem(name, value):
-            raise SchemaError(f"{_option(name)} {problem}")
+    check, diff and mazur-ulam build no ClassifyConfig, so its bounds are
+    applied here; --levels, which no config holds, only here."""
+    settings = _COMMANDS[args.command].settings
+    require_settings({name: getattr(args, name) for name in settings}, _option)
     if getattr(args, "levels", 0) not in range(0, 5):
         raise SchemaError("--levels must be in 0..4")
 
@@ -418,8 +410,23 @@ def _assemble(payload: dict, args, started: float) -> dict:
     return report
 
 
+def _finite_or_null(value):
+    """`value` with each non-finite float in it, nested ones too, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def _to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(report, allow_nan=False, indent=2, sort_keys=True)
+    except ValueError:  # a NaN or infinity; copying every report would cost ~10 us
+        text = json.dumps(_finite_or_null(report), allow_nan=False, indent=2, sort_keys=True)
+    return text + "\n"
 
 
 _FUZZ_CSV_FIELDS = (

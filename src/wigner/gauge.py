@@ -38,6 +38,7 @@ from .errors import (
     NonFiniteEvaluation,
     NotProbabilityPreserving,
     OriginNotFixed,
+    SchemaError,
 )
 from .states import Transformation, as_state, random_state, zero_state
 
@@ -120,7 +121,7 @@ def extract_theta(
             complex(np.vdot(tz, tw)), complex(np.vdot(z, w)), preserve_tol
         )
     else:
-        raise ValueError(f"branch must be 'A' or 'B', got {branch!r}")
+        raise SchemaError(f"branch must be 'A' or 'B', got {branch!r}")
     return PhaseSample(
         w=w, z=z, theta=theta, branch=branch, overlap_modulus=abs(overlap)
     )

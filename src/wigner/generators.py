@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import DIMENSION_CAP
+from .classifier import DIMENSION_CAP, setting_problem
 from .errors import DimensionMismatch, NotUnitaryInput, SchemaError
 from .states import Transformation
 
@@ -68,7 +68,7 @@ class DressingSpec:
     @classmethod
     def random(cls, n: int, degree: int, seed: int) -> "DressingSpec":
         if not 0 <= degree <= MAX_DRESSING_DEGREE:
-            raise ValueError(f"degree must be in 0..{MAX_DRESSING_DEGREE}")
+            raise SchemaError(f"degree must be in 0..{MAX_DRESSING_DEGREE}")
         rng = np.random.default_rng(seed)
         directions = rng.uniform(-1.0, 1.0, size=(DRESSING_RIDGES, 2 * n))
         norms = np.linalg.norm(directions, axis=1, keepdims=True)
@@ -97,9 +97,9 @@ def make_symmetry(kind: str, matrix, dressing: "DressingSpec | None" = None) -> 
     vectorized.
     """
     if kind not in SYMMETRY_KINDS:
-        raise ValueError(f"kind must be one of {SYMMETRY_KINDS}, got {kind!r}")
+        raise SchemaError(f"kind must be one of {SYMMETRY_KINDS}, got {kind!r}")
     if dressing is not None and not isinstance(dressing, DressingSpec):
-        raise TypeError(f"dressing must be a DressingSpec or None, got {type(dressing).__name__}")
+        raise SchemaError(f"dressing must be a DressingSpec or None, got {type(dressing).__name__}")
     u = np.asarray(matrix, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got shape {u.shape}")
@@ -131,7 +131,7 @@ def make_adversary(kind: str, n: int, seed: int) -> Transformation:
     varies with the seed. shear and rank_deficient need n >= 2.
     """
     if kind not in ADVERSARY_KINDS:
-        raise ValueError(f"kind must be one of {ADVERSARY_KINDS}, got {kind!r}")
+        raise SchemaError(f"kind must be one of {ADVERSARY_KINDS}, got {kind!r}")
     if n < 1:
         raise DimensionMismatch("dimension must be at least 1")
     if kind in ("shear", "rank_deficient") and n < 2:
@@ -186,11 +186,6 @@ def default_manifest() -> list[dict]:
     return entries
 
 
-def _is_integer(value) -> bool:
-    # JSON true and false load as bools, which Python counts as ints
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def validate_manifest(obj) -> list[dict]:
     """Check a parsed manifest against the corpus schema.
 
@@ -210,18 +205,19 @@ def validate_manifest(obj) -> list[dict]:
         if kind not in known:
             raise SchemaError(f"entry {idx}: unknown kind {kind!r}")
         n = raw.get("n")
-        if not _is_integer(n) or n < 1:
+        # JSON true and false load as bools, which are ints but not of type int
+        if type(n) is not int or n < 1:
             raise SchemaError(f"entry {idx}: n must be a positive integer")
         if n > DIMENSION_CAP:
             raise SchemaError(f"entry {idx}: n = {n} exceeds the dimension cap {DIMENSION_CAP}")
         if kind in ("shear", "rank_deficient") and n < 2:
             raise SchemaError(f"entry {idx}: {kind} needs n >= 2")
         seed = raw.get("seed")
-        if not _is_integer(seed) or seed < 0:
+        if setting_problem("seed", seed):
             raise SchemaError(f"entry {idx}: seed must be a non-negative integer")
         degree = raw.get("dressing_degree", 0)
         if kind in SYMMETRY_KINDS:
-            if not _is_integer(degree) or not 0 <= degree <= MAX_DRESSING_DEGREE:
+            if type(degree) is not int or not 0 <= degree <= MAX_DRESSING_DEGREE:
                 raise SchemaError(
                     f"entry {idx}: dressing_degree must be in 0..{MAX_DRESSING_DEGREE}"
                 )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import MAX_SAMPLES, PreservationReport, sample_pairs
+from .classifier import PreservationReport, require_settings, sample_pairs
 from .errors import NotIsometry, NotOrthogonal, OriginNotFixed, ReconstructionMismatch
 from .gauge import ORIGIN_TOL
 from .states import Transformation
@@ -41,8 +41,7 @@ def check_isometry(
     tol: float = 1e-8,
 ) -> PreservationReport:
     """Max of |T(u).T(v) - u.v| over 1..MAX_SAMPLES seeded pairs and 3 specials."""
-    if not 1 <= num_pairs <= MAX_SAMPLES:
-        raise ValueError(f"num_pairs must be in 1..{MAX_SAMPLES}")
+    require_settings({"num_pairs": num_pairs, "seed": seed, "tol": tol})
     n = transform.dimension
     rng = np.random.default_rng(seed)
     anchor = rng.standard_normal(n)
@@ -69,6 +68,7 @@ def reconstruct_orthogonal(
     within `tol` (no scalar freedom in the real case). The isometry check
     runs first and its report is returned with the matrix.
     """
+    require_settings({"step": step})
     report = check_isometry(transform, num_pairs=num_pairs, seed=seed, tol=tol)
     if not report.passed:
         raise NotIsometry(

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteEvaluation, SchemaError
 from .states import Transformation, as_state
 
 DEFAULT_STEP = 1e-5
@@ -58,17 +59,22 @@ def _central_differences(transform, at: np.ndarray, step: float, units) -> np.nd
 
     Unit 1 differentiates along the real axes, unit i along the imaginary
     ones. Costs 2n evaluations per unit, all sent as one batch: the +h and
-    -h offsets of the first unit, then those of the next.
+    -h offsets of the first unit, then those of the next. Finite images
+    whose difference overflows raise NonFiniteEvaluation.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < np.inf:
+        raise SchemaError("step must be positive and finite")
     n = transform.dimension
     points = []
     for unit in units:
         offsets = unit * step * np.eye(n)
         points += [at + offsets, at - offsets]
     images = transform(np.concatenate(points)).reshape(len(units), 2, n, n)
-    return ((images[:, 0] - images[:, 1]) / (2.0 * step)).transpose(0, 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        quotients = (images[:, 0] - images[:, 1]) / (2.0 * step)
+    if not np.isfinite(quotients).all():
+        raise NonFiniteEvaluation(f"central differences at step {step:g} overflow")
+    return quotients.transpose(0, 2, 1)
 
 
 def wirtinger_jacobian(
@@ -83,7 +89,8 @@ def wirtinger_jacobian(
     """
     z = as_state(at, transform.dimension)
     df_dx, df_dy = _central_differences(transform, z, step, (1.0, 1j))
-    d_z, d_zbar = 0.5 * (df_dx - 1j * df_dy), 0.5 * (df_dx + 1j * df_dy)
+    # halved before the sum, which then stays below the largest float
+    d_z, d_zbar = 0.5 * df_dx - 0.5j * df_dy, 0.5 * df_dx + 0.5j * df_dy
     return WirtingerJacobian(d_z=d_z, d_zbar=d_zbar, at=z, step=float(step))
 
 
@@ -97,9 +104,7 @@ def richardson_refine(
     maps). Costs (levels+1) plain Jacobians.
     """
     if not 1 <= levels <= 4:
-        raise ValueError("levels must be between 1 and 4")
-    if base_step <= 0:
-        raise ValueError("base_step must be positive")
+        raise SchemaError("levels must be between 1 and 4")
     ladder = [
         wirtinger_jacobian(transform, at, base_step / 2.0**k)
         for k in range(levels + 1)
@@ -136,9 +141,9 @@ def analyticity_test(
     """True at a point iff the max-norm of d_zbar there is below `tol`."""
     points = list(points)
     if not points:
-        raise ValueError("points must be non-empty")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise SchemaError("points must be non-empty")
+    if not 0 < tol < np.inf:
+        raise SchemaError("tol must be positive and finite")
     residuals = [
         wirtinger_jacobian(transform, p, step).d_zbar_norm for p in points
     ]

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import wigner as wg
-from wigner.classifier import STEP_RANGE, TOL_BRANCH_MAX, _decide_branch, _require_unitary
+from wigner.classifier import (
+    MAX_SAMPLES,
+    STEP_RANGE,
+    TOL_BRANCH_MAX,
+    _decide_branch,
+    _require_unitary,
+)
 from wigner.errors import (
     DimensionMismatch,
     MixedBranch,
@@ -186,6 +192,16 @@ BAD_CONFIGS = [
     ("tol_unitary", -1e-6, "tol_unitary must be positive"),
     ("tol_branch", 0.2, "tol_branch must be at most 0.1"),
     ("tol_branch", math.nan, "tol_branch must be finite"),
+    ("seed", -1, "seed must be non-negative"),
+    ("seed", 1.5, "seed must be an integer, got float"),
+    ("seed", True, "seed must be an integer, got bool"),
+    ("samples", 0, "samples must be at least 1"),
+    ("samples", 10001, "samples must be at most 10000"),
+    ("samples", True, "samples must be an integer, got bool"),
+    ("samples", "50", "samples must be an integer, got str"),
+    ("tol_unitary", True, "tol_unitary must be a real number, got bool"),
+    # numpy names its bool scalar type "bool" from 2.0 on and "bool_" before
+    ("step", np.bool_(True), f"step must be a real number, got {np.bool_.__name__}"),
 ]
 
 
@@ -202,6 +218,17 @@ def test_classify_config_accepts_its_bounds():
     for step in STEP_RANGE:
         assert wg.ClassifyConfig(step=step).step == step
     assert wg.ClassifyConfig(tol_branch=TOL_BRANCH_MAX).tol_branch == TOL_BRANCH_MAX
+    assert wg.ClassifyConfig(samples=1, seed=0).samples == 1
+    assert wg.ClassifyConfig(samples=MAX_SAMPLES).samples == MAX_SAMPLES
+
+
+def test_classify_config_accepts_numpy_scalars():
+    config = wg.ClassifyConfig(
+        seed=np.int64(3), samples=np.int64(7), tol_unitary=np.float64(1e-5), step=np.float64(2e-5)
+    )
+    result = wg.classify(wg.make_symmetry("linear", wg.haar_unitary(3, 1)), config)
+    assert result.branch == "linear"
+    assert result.preservation.pairs_tested == 7 + 3 + 4  # zero, 3 basis, orth, par, par_scaled
 
 
 def _compose(t1, t2):

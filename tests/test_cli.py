@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import wigner as wg
-from wigner.cli import MAX_SAMPLES, REPORT_SCHEMA, build_parser, main
+from wigner.classifier import MAX_SAMPLES
+from wigner.cli import REPORT_SCHEMA, build_parser, main
 
 CONJUGATION = "dim 2;\nT1 = conj(z1);\nT2 = conj(z2);\n"
 SCALING = "dim 2;\nT1 = 2.0 * z1;\nT2 = 2.0 * z2;\n"
@@ -47,6 +48,14 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def strict_json(text):
+    """Parse `text` as strict JSON, which has no NaN or infinities."""
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def run_json(args, capsys):
@@ -642,11 +651,24 @@ def test_setting_that_would_skew_the_verdict_is_schema_error(
 ):
     args = command_args(tmp_path, command) + [flag] + ([value] if value else [])
     code, out = run_cli(args + ["--no-timestamp"], capsys)
-    report = json.loads(out)
+    report = strict_json(out)  # a NaN or infinite setting is echoed as null
     jsonschema.validate(report, REPORT_SCHEMA)
     assert (code, report["error"]) == (1, "schema_error")
     assert report["detail"] == f"{flag.split('=')[0]} must be {rule}"
     assert capsys.readouterr().err == ""
+
+
+def test_overflowing_products_are_written_as_null(tmp_path, capsys):
+    spec = write_spec(tmp_path, "dim 2;\nT1 = 1e200*z1;\nT2 = 1e200*z2;\n")
+    code, out = run_cli(["check", "--spec", spec, "--no-timestamp"], capsys)
+    report = strict_json(out)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert (code, report["error"]) == (2, "not_a_symmetry")
+    assert report["detail"] == "max modulus deviation inf exceeds 1e-08"
+    assert report["preservation"]["max_deviation"] is None
+    deviations = [pair["deviation"] for pair in report["preservation"]["pairs"]]
+    assert deviations[0] == 0.0  # the zero pair
+    assert None in deviations
 
 
 @pytest.mark.parametrize(

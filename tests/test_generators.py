@@ -51,7 +51,7 @@ def test_dressing_deterministic_and_real():
 
 
 def test_dressing_degree_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError):
         wg.DressingSpec.random(2, 5, 1)
     assert wg.DressingSpec.random(2, 0, 1).degree == 0
 
@@ -164,7 +164,7 @@ def test_validate_manifest_accepts_the_dimension_cap():
 
 
 def test_make_symmetry_takes_only_a_dressing_spec():
-    with pytest.raises(TypeError, match="DressingSpec or None"):
+    with pytest.raises(SchemaError, match="DressingSpec or None"):
         wg.make_symmetry("linear", np.eye(2), lambda z: 0.0)
     assert wg.make_symmetry("linear", np.eye(2)).vectorized
     assert wg.make_symmetry("linear", np.eye(2), wg.DressingSpec.random(2, 1, 3)).vectorized

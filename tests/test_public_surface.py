@@ -1,0 +1,151 @@
+"""Only typed errors leave the library.
+
+`classify` and `check_preservation` are called with any values for the
+`ClassifyConfig` fields (integers, floats, bools, numpy scalars, strings,
+NaN, infinities and numbers past every bound) on generated symmetries,
+adversaries and random specs of the expression language. Each call must
+return a result or raise a `WignerError` whose exit code is the one the
+README's exit-code table gives for its report code: no other exception,
+and no warning (the suite turns warnings into errors).
+
+Separately, a bad setting given to any public entry point is refused with
+`SchemaError` before the map is evaluated at all.
+"""
+
+import dataclasses
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import wigner as wg
+from wigner import dsl
+from wigner.errors import SchemaError, WignerError
+from wigner.generators import ADVERSARY_KINDS, MAX_DRESSING_DEGREE, SYMMETRY_KINDS
+from wigner.mazurulam import RealTransformation
+
+from test_dsl_properties import MATRIX_NAMES, trees
+
+
+def readme_exit_codes() -> dict[str, int]:
+    """Report code -> exit code, read off the README's exit-code table."""
+    table = {}
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    for exit_code, codes in re.findall(r"^\| ([12]) \|[^|]*\|([^\n]*)\|$", readme, re.MULTILINE):
+        for code in re.findall(r"`([a-z_]+)`", codes):
+            table[code] = int(exit_code)
+    return table
+
+
+EXIT_CODES = readme_exit_codes()
+FIELDS = tuple(f.name for f in dataclasses.fields(wg.ClassifyConfig))
+TREES = {n: trees(n) for n in (1, 2, 3)}
+
+SURFACE_SETTINGS = settings(max_examples=150, deadline=None, database=None)
+
+setting_values = st.one_of(
+    st.integers(-3, 60),
+    st.integers(0, 60).map(np.int64),
+    st.floats(),  # NaN and the infinities included
+    st.floats(1e-9, 0.2),  # about the step and tolerance bounds
+    st.floats(1e-9, 0.2).map(np.float64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.text(max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, 10**30, 0, 10_001]),
+)
+
+
+@st.composite
+def maps(draw):
+    """A generated symmetry, an adversary or a compiled random spec."""
+    family = draw(st.sampled_from(("symmetry", "adversary", "spec")))
+    seed = draw(st.integers(0, 2**16))
+    if family == "symmetry":
+        n = draw(st.integers(1, 8))
+        degree = draw(st.integers(0, MAX_DRESSING_DEGREE))
+        dressing = wg.DressingSpec.random(n, degree, seed) if degree else None
+        return wg.make_symmetry(draw(st.sampled_from(SYMMETRY_KINDS)), wg.haar_unitary(n, seed), dressing)
+    if family == "adversary":
+        kind = draw(st.sampled_from(ADVERSARY_KINDS))
+        n = draw(st.integers(2 if kind in ("shear", "rank_deficient") else 1, 8))
+        return wg.make_adversary(kind, n, seed)
+    n = draw(st.sampled_from(sorted(TREES)))
+    spec = dsl.TransformSpec(n, tuple(draw(TREES[n]) for _ in range(n)))
+    rng = np.random.default_rng(seed)
+    constants = {
+        name: rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for name in MATRIX_NAMES
+    }
+    return dsl.compile_to_transformation(spec, constants)
+
+
+def assert_typed(exc: WignerError) -> None:
+    assert EXIT_CODES[exc.code] == exc.exit_code, f"{exc.code}: {exc}"
+
+
+def test_readme_table_covers_every_error_type():
+    import wigner.errors as errs
+
+    defined = {
+        obj.code: obj.exit_code
+        for obj in vars(errs).values()
+        if isinstance(obj, type) and issubclass(obj, WignerError)
+    }
+    defined.pop("analysis_error")  # the base class, never raised itself
+    assert {code: EXIT_CODES[code] for code in defined} == defined
+
+
+@SURFACE_SETTINGS
+@given(maps(), st.dictionaries(st.sampled_from(FIELDS), setting_values, max_size=3))
+def test_any_settings_give_a_result_or_a_typed_error(transform, values):
+    defaults = wg.ClassifyConfig()
+    samples, seed, tol = (values.get(name, getattr(defaults, name)) for name in ("samples", "seed", "tol_preserve"))
+    try:
+        report = wg.check_preservation(transform, samples, seed, tol)
+    except WignerError as exc:
+        assert_typed(exc)
+    else:
+        assert report.pairs_tested >= samples
+    try:
+        result = wg.classify(transform, wg.ClassifyConfig(**values))
+    except WignerError as exc:
+        assert_typed(exc)
+    else:
+        assert result.branch in (wg.LINEAR, wg.ANTILINEAR)
+
+
+REFUSED = {
+    "check_preservation-tol-nan": lambda t, r: wg.check_preservation(t, 5, 0, math.nan),
+    "check_preservation-seed--1": lambda t, r: wg.check_preservation(t, 5, -1, 1e-8),
+    "check_isometry-tol-nan": lambda t, r: wg.check_isometry(r, 5, 0, math.nan),
+    "check_isometry-pairs-0": lambda t, r: wg.check_isometry(r, 0, 0, 1e-8),
+    "reconstruct_orthogonal-tol-nan": lambda t, r: wg.reconstruct_orthogonal(r, tol=math.nan),
+    "reconstruct_orthogonal-step-1": lambda t, r: wg.reconstruct_orthogonal(r, step=1.0),
+    "wirtinger_jacobian-step-0": lambda t, r: wg.wirtinger_jacobian(t, np.zeros(2), 0.0),
+    "wirtinger_jacobian-step-nan": lambda t, r: wg.wirtinger_jacobian(t, np.zeros(2), math.nan),
+    "wirtinger_jacobian-step-inf": lambda t, r: wg.wirtinger_jacobian(t, np.zeros(2), math.inf),
+    "richardson_refine-levels-9": lambda t, r: wg.richardson_refine(t, np.zeros(2), 1e-3, 9),
+    "richardson_refine-step-0": lambda t, r: wg.richardson_refine(t, np.zeros(2), 0.0, 1),
+    "analyticity_test-tol-0": lambda t, r: wg.analyticity_test(t, [np.zeros(2)], 0.0),
+    "analyticity_test-tol-nan": lambda t, r: wg.analyticity_test(t, [np.zeros(2)], math.nan),
+    "classify-seed-bool": lambda t, r: wg.classify(t, wg.ClassifyConfig(seed=True)),
+}
+
+
+@pytest.mark.parametrize("call", REFUSED.values(), ids=REFUSED)
+def test_bad_setting_is_refused_before_any_evaluation(call):
+    points = []
+
+    def identity(z):
+        points.append(len(z))
+        return z
+
+    complex_map = wg.Transformation(identity, 2, vectorized=True)
+    real_map = RealTransformation(identity, 2, vectorized=True)
+    with pytest.raises(SchemaError):
+        call(complex_map, real_map)
+    assert points == []

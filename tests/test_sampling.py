@@ -20,6 +20,7 @@ import pytest
 import wigner as wg
 from oracles import reference_isometry, reference_preservation
 from wigner.classifier import MAX_SAMPLES
+from wigner.errors import SchemaError
 from wigner.mazurulam import RealTransformation
 
 DIMENSIONS = (1, 2, 8, 64)
@@ -181,7 +182,7 @@ def test_pair_counts_outside_the_range_raise_before_any_draw(monkeypatch):
     for call in calls:
         for count in (0, MAX_SAMPLES + 1):
             def refused():
-                with pytest.raises(ValueError, match="num_pairs must be in"):
+                with pytest.raises(SchemaError, match="(num_pairs|samples) must be at"):
                     call(count)
 
             assert traced_peak(refused) < 64 * 1024

@@ -5,7 +5,7 @@ import pytest
 
 import wigner as wg
 from wigner import dsl
-from wigner.errors import DimensionMismatch, NonFiniteEvaluation
+from wigner.errors import DimensionMismatch, NonFiniteEvaluation, SchemaError
 from wigner.generators import SYMMETRY_KINDS
 
 from oracles import reference_wirtinger_jacobian
@@ -93,14 +93,14 @@ def test_richardson_conjugation_exact():
 
 
 def test_richardson_levels_validated():
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError):
         wg.richardson_refine(identity(), np.zeros(3), 1e-3, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError):
         wg.richardson_refine(identity(), np.zeros(3), 1e-3, 5)
 
 
 def test_step_must_be_positive():
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError):
         wg.wirtinger_jacobian(identity(), np.zeros(3), 0.0)
 
 
@@ -112,6 +112,11 @@ def test_nonfinite_probe_detected():
 
     with pytest.raises(NonFiniteEvaluation):
         wg.wirtinger_jacobian(wg.Transformation(bad, 2), np.zeros(2))
+    # finite images whose difference overflows: analytic, with d_z past every float
+    huge = dsl.compile_to_transformation(dsl.parse("dim 1; T1 = 1e300 * (1.5e13 * z1);"))
+    assert np.isfinite(huge(np.array([1e-5]))).all()
+    with pytest.raises(NonFiniteEvaluation):
+        wg.wirtinger_jacobian(huge, np.zeros(1))
 
 
 def test_dimension_change_detected():
