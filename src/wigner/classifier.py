@@ -247,12 +247,20 @@ def sample_pairs(transform, labels, points, product, tol: float) -> Preservation
 
 def require_preserved(report: PreservationReport) -> None:
     """Raise NotASymmetry, carrying `report`, unless the check passed."""
-    if not report.passed:
-        raise NotASymmetry(
-            f"max modulus deviation {report.max_deviation:.3g} "
-            f"exceeds {report.tolerance:g}",
-            report=report,
-        )
+    NotASymmetry.unless_below(
+        report.max_deviation, report.tolerance, "max modulus deviation", report
+    )
+
+
+def unitarity_residual(matrix: np.ndarray) -> float:
+    """Max-norm of M*M - I (of M^T M - I for a real M)."""
+    return float(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])).max())
+
+
+def relative_miss(transform, points: np.ndarray, model: np.ndarray) -> float:
+    """max |T(p) - model(p)| / |p| over the rows p of `points` and of `model`."""
+    misses = np.linalg.norm(transform(points) - model, axis=1)
+    return float((misses / np.linalg.norm(points, axis=1)).max())
 
 
 def _decide_branch(jacobian: WirtingerJacobian, tol_branch: float) -> tuple[str, np.ndarray]:
@@ -270,12 +278,7 @@ def _decide_branch(jacobian: WirtingerJacobian, tol_branch: float) -> tuple[str,
 
 
 def _require_unitary(matrix: np.ndarray, tol: float) -> float:
-    residual = float(
-        np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])).max()
-    )
-    if residual >= tol:
-        raise NotUnitary(f"|M*M - I| = {residual:.3g} exceeds {tol:g}")
-    return residual
+    return NotUnitary.unless_below(unitarity_residual(matrix), tol, "|M*M - I| =")
 
 
 def _smoothness_diagnostic(fixed, step: float) -> SmoothnessDiagnostic:
@@ -313,19 +316,14 @@ def classify(
     fixed = gauge_fix(transform, preserve_tol=config.tol_preserve, seed=config.seed)
     origin_jac = richardson_refine(fixed, zero_state(n), config.step, levels=1)
     branch, operator = _decide_branch(origin_jac, config.tol_branch)
-    unitarity_residual = _require_unitary(operator, config.tol_unitary)
+    unitarity = _require_unitary(operator, config.tol_unitary)
 
     # global reconstruction against the origin operator
     rng = np.random.default_rng([config.seed, 1])
     points = random_state(n, rng, (config.samples,))
     model = (points if branch == LINEAR else np.conj(points)) @ operator.T
-    misses = np.linalg.norm(fixed(points) - model, axis=1) / np.linalg.norm(points, axis=1)
-    worst_reconstruction = float(misses.max())
-    if worst_reconstruction >= config.tol_unitary:
-        raise ReconstructionMismatch(
-            f"origin operator misses the map by {worst_reconstruction:.3g} "
-            f"relative at sampled points (tol {config.tol_unitary:g})"
-        )
+    miss = relative_miss(fixed, points, model)
+    ReconstructionMismatch.unless_below(miss, config.tol_unitary, "relative reconstruction miss")
 
     # Jacobian constancy away from the origin, up to one unimodular scalar
     # per run (pointwise gauge noise can drift as a near-constant phase)
@@ -338,17 +336,13 @@ def classify(
         if run_phase is None:
             run_phase = align_global_phase(block, operator).phase
         drift = float(np.abs(np.exp(-1j * run_phase) * block - operator).max())
-        if drift >= constancy_tol:
-            raise ReconstructionMismatch(
-                f"origin Jacobian is not constant: off-origin block drifts "
-                f"by {drift:.3g} (tol {constancy_tol:g})"
-            )
+        ReconstructionMismatch.unless_below(drift, constancy_tol, "off-origin Jacobian drift")
 
     return ClassificationResult(
         branch=branch,
         operator=operator,
-        unitarity_residual=unitarity_residual,
-        reconstruction_residual=worst_reconstruction,
+        unitarity_residual=unitarity,
+        reconstruction_residual=miss,
         preservation=preservation,
         origin_d_z_norm=origin_jac.d_z_norm,
         origin_d_zbar_norm=origin_jac.d_zbar_norm,

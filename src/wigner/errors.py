@@ -10,6 +10,9 @@ mean the question itself was ill-posed: exit code 1. Verdict failures
 check did not close) are legitimate analysis outcomes: exit code 2, the
 default, and the CLI still emits a diagnostic report. A failed sampling
 check attaches its report as `.report` (None otherwise).
+
+Every verdict check passes by one rule, `WignerError.unless_below`: its
+value must be below its tolerance, so a NaN fails too.
 """
 
 import re
@@ -24,6 +27,13 @@ class WignerError(Exception):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+    @classmethod
+    def unless_below(cls, value: float, tol: float, what: str, report=None) -> float:
+        """`value` if below `tol`, else this error, detail "<what> <value> exceeds <tol>"."""
+        if value < tol:
+            return value
+        raise cls(f"{what} {value:.3g} exceeds {tol:g}", report=report)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)

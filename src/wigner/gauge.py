@@ -40,7 +40,7 @@ from .errors import (
     OriginNotFixed,
     SchemaError,
 )
-from .states import Transformation, as_state, random_state, zero_state
+from .states import Transformation, as_state, random_state
 
 PROBE_SCALE = 1e-4
 DEGENERATE_TOL = 1e-8
@@ -75,6 +75,13 @@ def angle_distance(a: float, b: float) -> float:
     return abs(wrap_angle(a - b))
 
 
+def require_origin_fixed(transform: Transformation) -> float:
+    """|T(0)| below ORIGIN_TOL, else OriginNotFixed; at real zeros, which a
+    real map takes without the warning that complex ones raise."""
+    origin = float(np.linalg.norm(transform(np.zeros(transform.dimension))))
+    return OriginNotFixed.unless_below(origin, ORIGIN_TOL, "|T(0)| =")
+
+
 @dataclass(frozen=True)
 class PhaseSample:
     """A measured theta(w, w*, z, z*) with the branch reading that produced it."""
@@ -103,8 +110,11 @@ def extract_theta(
 
     Raises DegeneratePair when |<w|z>| <= DEGENERATE_TOL * |w| * |z| (the
     phase of a vanishing overlap is meaningless) and
-    NotProbabilityPreserving when the overlap modulus is not preserved.
+    NotProbabilityPreserving when the overlap modulus is not preserved;
+    SchemaError, before anything is evaluated, for a bad `preserve_tol`.
     """
+    if not 0 < preserve_tol < np.inf:
+        raise SchemaError("preserve_tol must be positive and finite")
     w = as_state(w, transform.dimension)
     z = as_state(z, transform.dimension)
     overlap = complex(np.vdot(w, z))
@@ -217,12 +227,7 @@ def gauge_fix(
     map's image of a row depends on the rest of its batch.
     """
     n = transform.dimension
-    origin_image = transform(zero_state(n))
-    origin_norm = float(np.linalg.norm(origin_image))
-    if origin_norm > ORIGIN_TOL:
-        raise OriginNotFixed(
-            f"|T(0)| = {origin_norm:.3g} exceeds {ORIGIN_TOL:g}; the origin must be fixed"
-        )
+    require_origin_fixed(transform)
 
     cache: dict[bytes, float] = {}
     lock = threading.Lock()
@@ -289,7 +294,14 @@ def verify_theta_antisymmetry(
     tol: float,
     preserve_tol: float = PRESERVE_TOL,
 ) -> AntisymmetryReport:
-    """Check theta(z, z*, w, w*) = -theta(w, w*, z, z*) over the given pairs."""
+    """Check theta(z, z*, w, w*) = -theta(w, w*, z, z*) over the given pairs.
+
+    SchemaError, before anything is evaluated, for no pairs or a bad tolerance."""
+    pairs = list(pairs)
+    if not pairs:
+        raise SchemaError("pairs must be non-empty")
+    if not 0 < tol < np.inf:
+        raise SchemaError("tol must be positive and finite")
     deviations = []
     for w, z in pairs:
         forward = extract_theta(transform, w, z, preserve_tol=preserve_tol).theta

@@ -7,10 +7,11 @@ classification; analysis code never reads it.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .classifier import DIMENSION_CAP, setting_problem
+from .classifier import DIMENSION_CAP, require_settings, setting_problem, unitarity_residual
 from .errors import DimensionMismatch, NotUnitaryInput, SchemaError
 from .states import Transformation
 
@@ -24,6 +25,22 @@ DRESSING_RIDGES = 2
 _DRESSING_SEED_OFFSET = 500009
 
 
+def _require_integer(name: str, value) -> None:
+    """SchemaError unless `value` is an integer; a bool is not one."""
+    # int before the ABC, which is slow
+    if isinstance(value, bool) or not isinstance(value, (int, Integral)):
+        raise SchemaError(f"{name} must be an integer, got {type(value).__name__}")
+
+
+def _require_dimension_and_seed(n, seed) -> None:
+    """Refuse an n that is not an integer (SchemaError) or is below 1
+    (DimensionMismatch), then a seed out of its bounds (SchemaError)."""
+    _require_integer("n", n)
+    if n < 1:
+        raise DimensionMismatch("dimension must be at least 1")
+    require_settings({"seed": seed})
+
+
 def haar_unitary(n: int, seed: int) -> np.ndarray:
     """Haar-distributed n x n unitary via QR of a complex Ginibre matrix.
 
@@ -31,8 +48,7 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
     the QR phase ambiguity and makes the distribution exactly Haar.
     Deterministic per seed.
     """
-    if n < 1:
-        raise DimensionMismatch("dimension must be at least 1")
+    _require_dimension_and_seed(n, seed)
     rng = np.random.default_rng(seed)
     ginibre = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
     q, r = np.linalg.qr(ginibre)
@@ -42,8 +58,7 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
 
 def haar_orthogonal(n: int, seed: int) -> np.ndarray:
     """Real counterpart of `haar_unitary` (sign-fixed QR of a real Gaussian)."""
-    if n < 1:
-        raise DimensionMismatch("dimension must be at least 1")
+    _require_dimension_and_seed(n, seed)
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diagonal(r))
@@ -67,6 +82,8 @@ class DressingSpec:
 
     @classmethod
     def random(cls, n: int, degree: int, seed: int) -> "DressingSpec":
+        _require_dimension_and_seed(n, seed)
+        _require_integer("degree", degree)
         if not 0 <= degree <= MAX_DRESSING_DEGREE:
             raise SchemaError(f"degree must be in 0..{MAX_DRESSING_DEGREE}")
         rng = np.random.default_rng(seed)
@@ -104,9 +121,7 @@ def make_symmetry(kind: str, matrix, dressing: "DressingSpec | None" = None) -> 
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got shape {u.shape}")
     n = u.shape[0]
-    residual = float(np.abs(u.conj().T @ u - np.eye(n)).max())
-    if residual > 1e-10:
-        raise NotUnitaryInput(f"|U*U - I| = {residual:.3g} exceeds 1e-10")
+    NotUnitaryInput.unless_below(unitarity_residual(u), 1e-10, "|U*U - I| =")
 
     flip = np.conj if kind == "antilinear" else np.asarray
     if dressing is None:
@@ -132,8 +147,7 @@ def make_adversary(kind: str, n: int, seed: int) -> Transformation:
     """
     if kind not in ADVERSARY_KINDS:
         raise SchemaError(f"kind must be one of {ADVERSARY_KINDS}, got {kind!r}")
-    if n < 1:
-        raise DimensionMismatch("dimension must be at least 1")
+    _require_dimension_and_seed(n, seed)
     if kind in ("shear", "rank_deficient") and n < 2:
         raise DimensionMismatch(f"{kind} needs dimension >= 2")
 

@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import PreservationReport, require_settings, sample_pairs
-from .errors import NotIsometry, NotOrthogonal, OriginNotFixed, ReconstructionMismatch
-from .gauge import ORIGIN_TOL
+from .classifier import PreservationReport, relative_miss, require_settings, sample_pairs
+from .classifier import unitarity_residual
+from .errors import NotIsometry, NotOrthogonal, ReconstructionMismatch
+from .gauge import require_origin_fixed
 from .states import Transformation
 from .wirtinger import DEFAULT_STEP, real_jacobian
 
@@ -70,36 +71,20 @@ def reconstruct_orthogonal(
     """
     require_settings({"step": step})
     report = check_isometry(transform, num_pairs=num_pairs, seed=seed, tol=tol)
-    if not report.passed:
-        raise NotIsometry(
-            f"max scalar-product deviation {report.max_deviation:.3g} "
-            f"exceeds {tol:g}",
-            report=report,
-        )
-    n = transform.dimension
-    origin_norm = float(np.linalg.norm(transform(np.zeros(n))))
-    if origin_norm > ORIGIN_TOL:
-        raise OriginNotFixed(f"|T(0)| = {origin_norm:.3g} exceeds {ORIGIN_TOL:g}")
+    NotIsometry.unless_below(report.max_deviation, tol, "max scalar-product deviation", report)
+    require_origin_fixed(transform)
 
+    n = transform.dimension
     matrix = real_jacobian(transform, np.zeros(n), step)
-    residual = float(np.abs(matrix.T @ matrix - np.eye(n)).max())
-    if residual >= tol:
-        raise NotOrthogonal(f"|O^T O - I| = {residual:.3g} exceeds {tol:g}")
+    residual = NotOrthogonal.unless_below(unitarity_residual(matrix), tol, "|O^T O - I| =")
 
     rng = np.random.default_rng([seed, 1])
     points = rng.standard_normal((50, n))
-    misses = np.linalg.norm(transform(points) - points @ matrix.T, axis=1)
-    rec = float((misses / np.linalg.norm(points, axis=1)).max())
-    if rec >= tol:
-        raise ReconstructionMismatch(
-            f"origin Jacobian misses the map by {rec:.3g} relative (tol {tol:g})"
-        )
+    miss = relative_miss(transform, points, points @ matrix.T)
+    ReconstructionMismatch.unless_below(miss, tol, "relative reconstruction miss")
     for v in rng.standard_normal((2, n)):
         drift = float(np.abs(real_jacobian(transform, v, step) - matrix).max())
-        if drift >= tol:
-            raise ReconstructionMismatch(
-                f"Jacobian is not constant: entrywise drift {drift:.3g} (tol {tol:g})"
-            )
+        ReconstructionMismatch.unless_below(drift, tol, "off-origin Jacobian drift")
     return OrthogonalReconstruction(
         matrix=matrix, orthogonality_residual=residual, isometry=report
     )

@@ -101,7 +101,8 @@ def richardson_refine(
 
     `levels` in 1..4; each level halves the step once more and cancels the
     next even-order truncation term (error order 2*(levels+1) for smooth
-    maps). Costs (levels+1) plain Jacobians.
+    maps). Costs (levels+1) plain Jacobians. Finite Jacobians whose
+    combination overflows raise NonFiniteEvaluation.
     """
     if not 1 <= levels <= 4:
         raise SchemaError("levels must be between 1 and 4")
@@ -110,13 +111,16 @@ def richardson_refine(
         for k in range(levels + 1)
     ]
     pairs = [(j.d_z, j.d_zbar) for j in ladder]
-    for m in range(1, levels + 1):
-        weight = 4.0**m
-        pairs = [
-            tuple((weight * fine - coarse) / (weight - 1.0) for fine, coarse in zip(hi, lo))
-            for lo, hi in zip(pairs[:-1], pairs[1:])
-        ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, levels + 1):
+            weight = 4.0**m
+            pairs = [
+                tuple((weight * fine - coarse) / (weight - 1.0) for fine, coarse in zip(hi, lo))
+                for lo, hi in zip(pairs[:-1], pairs[1:])
+            ]
     d_z, d_zbar = pairs[0]
+    if not (np.isfinite(d_z).all() and np.isfinite(d_zbar).all()):
+        raise NonFiniteEvaluation(f"Richardson combination at step {base_step:g} overflows")
     return WirtingerJacobian(
         d_z=d_z, d_zbar=d_zbar, at=ladder[0].at, step=float(base_step)
     )

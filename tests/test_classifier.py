@@ -119,6 +119,15 @@ def test_decide_branch_mixed_raises():
         _decide_branch(jac, tol_branch=1e-4)
 
 
+@pytest.mark.parametrize("value", [1e-6, 2e-6, math.inf, math.nan])
+def test_a_check_passes_only_below_its_tolerance(value):
+    assert NotUnitary.unless_below(0.5e-6, 1e-6, "x =") == 0.5e-6
+    with pytest.raises(NotUnitary) as refused:
+        NotUnitary.unless_below(value, 1e-6, "x =")
+    assert str(refused.value) == f"x = {value:.3g} exceeds 1e-06"
+    assert refused.value.report is None
+
+
 def test_require_unitary_raises():
     with pytest.raises(NotUnitary):
         _require_unitary(1.1 * np.eye(2), tol=1e-6)

@@ -699,3 +699,117 @@ def test_fuzz_manifest_above_the_cap_is_refused_before_building(tmp_path, capsys
     code, report = run_json(["fuzz", "--manifest", str(manifest)], capsys)
     assert (code, report["error"]) == (1, "schema_error")
     assert report["detail"] == "entry 0: n = 65 exceeds the dimension cap 64"
+
+
+THREE_ENTRIES = [
+    {"kind": "linear", "n": 1, "seed": 1, "dressing_degree": 0},
+    {"kind": "linear", "n": 2, "seed": 2, "dressing_degree": 1},
+    {"kind": "scaling", "n": 2, "seed": 3},
+]
+
+
+def write_manifest(tmp_path, entries=THREE_ENTRIES):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(entries))
+    return str(manifest)
+
+
+def test_fuzz_with_an_unreachable_tolerance_reports_fuzz_failures(tmp_path, capsys):
+    manifest = write_manifest(tmp_path)
+    code, report = run_json(["fuzz", "--manifest", manifest, "--tol-unitary", "1e-17"], capsys)
+    assert (code, report["error"]) == (2, "fuzz_failures")
+    assert report["detail"] == "0/1 symmetries recovered, 1/1 adversaries rejected"
+    errors = [inst.get("error") for inst in report["instances"]]
+    assert errors == [None, "not_unitary", "not_a_symmetry"]
+
+
+def test_fuzz_reports_accepted_adversaries_and_mismatched_symmetries(tmp_path, capsys, monkeypatch):
+    build = wg.cli.transformation_from_entry
+
+    def swapped(entry):
+        if entry["kind"] == "scaling":  # a symmetry where an adversary belongs
+            return wg.make_symmetry("linear", np.eye(entry["n"]))
+        truth = build(entry).ground_truth  # linear, so the antilinear branch mismatches
+        flipped = wg.make_symmetry("antilinear", truth["matrix"])
+        return dataclasses.replace(flipped, ground_truth=truth)
+
+    monkeypatch.setattr(wg.cli, "transformation_from_entry", swapped)
+    code, report = run_json(["fuzz", "--manifest", write_manifest(tmp_path)], capsys)
+    assert (code, report["error"]) == (2, "fuzz_failures")
+    assert [inst["status"] for inst in report["instances"]] == ["caveat_n1", "mismatch", "accepted"]
+    assert report["instances"][1]["branch"] == "antilinear"
+    assert report["detail"] == "0/1 symmetries recovered, 0/1 adversaries rejected"
+
+
+def test_fuzz_manifest_that_is_not_json_is_schema_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('[{"kind": "linear",')
+    code, report = run_json(["fuzz", "--manifest", str(manifest)], capsys)
+    assert (code, report["error"]) == (1, "schema_error")
+
+
+def test_diff_levels_above_4_is_schema_error(tmp_path, capsys):
+    spec = write_spec(tmp_path, IDENTITY)
+    code, report = run_json(["diff", "--spec", spec, "--levels", "5"], capsys)
+    assert (code, report["error"]) == (1, "schema_error")
+    assert report["detail"] == "--levels must be in 0..4"
+
+
+def test_richardson_overflow_is_non_finite_evaluation_with_empty_stderr(tmp_path):
+    # every central difference is finite; 4 * d_z = 2e308 overflows in the level combination
+    spec = write_spec(tmp_path, "dim 1;\nT1 = 1e300 * (5e7 * z1);\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "wigner", "diff", "--spec", spec, "--levels", "1", "--no-timestamp"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert json.loads(proc.stdout)["error"] == "non_finite_evaluation"
+
+
+def human(args, capsys):
+    return run_cli(args + ["--format", "human", "--no-timestamp"], capsys)
+
+
+def test_human_format_of_diff(tmp_path, capsys):
+    code, out = human(["diff", "--spec", write_spec(tmp_path, IDENTITY)], capsys)
+    one, zero = f"{'1+0i':>22}", f"{'0+0i':>22}"
+    assert (code, out.splitlines()) == (0, [
+        "command: diff",
+        "verdict: analytic",
+        "max |d_zbar| entry: 0",
+        "d_z:",
+        f"  {one} {zero}",
+        f"  {zero} {one}",
+        "d_zbar:",
+        f"  {zero} {zero}",
+        f"  {zero} {zero}",
+    ])
+
+
+def test_human_format_of_fuzz(tmp_path, capsys):
+    code, out = human(["fuzz", "--manifest", write_manifest(tmp_path)], capsys)
+    assert (code, out) == (0, (
+        "command: fuzz\n"
+        "verdict: ok\n"
+        "fuzz: 1/1 symmetries recovered, 1/1 adversaries rejected, 1 n=1 caveats\n"
+    ))
+
+
+def test_human_format_of_mazur_ulam(tmp_path, capsys):
+    code, out = human(["mazur-ulam", "--spec", write_spec(tmp_path, ROTATION)], capsys)
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[:3] == ["command: mazur-ulam", "verdict: orthogonal", "operator:"]
+    assert lines[3].split() == ["0.707107", "-0.707107"]
+    assert lines[4].split() == ["0.707107", "0.707107"]
+    assert re.fullmatch(r"orthogonality residual: \S+ \[ok\]", lines[5])
+    assert re.fullmatch(r"isometry: 53 pairs, max deviation \S+ \[ok\]", lines[6])
+    assert len(lines) == 7
+
+
+def test_human_format_of_an_n1_classify_names_its_caveat(tmp_path, capsys):
+    code, out = human(["classify", "--spec", write_spec(tmp_path, PHASE_SINGLE)], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "caveats: n1_branch_indistinct"

@@ -70,6 +70,12 @@ def test_make_symmetry_rejects_nonunitary():
         wg.make_symmetry("linear", 2.0 * np.eye(2))
 
 
+def test_make_symmetry_rejects_a_nan_matrix():
+    with pytest.raises(NotUnitaryInput) as refused:
+        wg.make_symmetry("linear", [[np.nan]])
+    assert (refused.value.exit_code, str(refused.value)) == (1, "|U*U - I| = nan exceeds 1e-10")
+
+
 def test_dressed_symmetry_preserves_moduli():
     dressing = wg.DressingSpec.random(3, 2, 13)
     transform = wg.make_symmetry("linear", wg.haar_unitary(3, 5), dressing)

@@ -133,6 +133,22 @@ REFUSED = {
     "analyticity_test-tol-0": lambda t, r: wg.analyticity_test(t, [np.zeros(2)], 0.0),
     "analyticity_test-tol-nan": lambda t, r: wg.analyticity_test(t, [np.zeros(2)], math.nan),
     "classify-seed-bool": lambda t, r: wg.classify(t, wg.ClassifyConfig(seed=True)),
+    "haar_unitary-seed--1": lambda t, r: wg.haar_unitary(2, -1),
+    "haar_unitary-seed-1.5": lambda t, r: wg.haar_unitary(2, 1.5),
+    "haar_unitary-n-1.5": lambda t, r: wg.haar_unitary(1.5, 1),
+    "haar_orthogonal-seed--1": lambda t, r: wg.haar_orthogonal(2, -1),
+    "make_adversary-seed--1": lambda t, r: wg.make_adversary("shear", 2, -1),
+    "DressingSpec.random-seed--1": lambda t, r: wg.DressingSpec.random(2, 1, -1),
+    "DressingSpec.random-degree-bool": lambda t, r: wg.DressingSpec.random(2, True, 1),
+    "extract_theta-preserve_tol-nan": lambda t, r: wg.extract_theta(
+        t, np.ones(2), np.ones(2), preserve_tol=math.nan
+    ),
+    "verify_theta_antisymmetry-pairs-empty": lambda t, r: wg.verify_theta_antisymmetry(
+        t, [], tol=1e-8
+    ),
+    "verify_theta_antisymmetry-tol-nan": lambda t, r: wg.verify_theta_antisymmetry(
+        t, [(np.ones(2), np.ones(2))], tol=math.nan
+    ),
 }
 
 

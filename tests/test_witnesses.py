@@ -7,15 +7,32 @@ sample and must be refused later: the two-valued sign splits the origin
 Jacobian between both blocks, and the phase of z1 survives today's
 epsilon-ladder gauge as a Jacobian that is not unitary. Reading the gauge
 phase in closed form off the origin Jacobian moves the second map to
-mixed_branch as well. The reconstruction, constancy and self-check stages
-have no witness yet.
+mixed_branch as well.
+
+The origin, orthogonality, reconstruction and constancy stages of the real
+chain (`reconstruct_orthogonal`) each have a witness below: an orthogonal
+map plus a small term that moves the origin, or that oscillates on the
+scale of the finite-difference step. `classify`'s origin stage has one
+too. Its reconstruction and constancy stages are reached only through a
+`tol_unitary` far below the default; at the default settings they, and
+the gauge self-check, have no witness yet.
 """
+
+import re
 
 import numpy as np
 import pytest
 
 import wigner as wg
-from wigner.errors import WignerError
+from wigner.errors import (
+    NotOrthogonal,
+    OriginNotFixed,
+    ReconstructionMismatch,
+    WignerError,
+)
+from wigner.generators import transformation_from_entry
+from wigner.mazurulam import RealTransformation
+from wigner.wirtinger import DEFAULT_STEP
 
 WITNESSES = {
     "mixed_branch": lambda u: lambda z: np.copysign(1.0, z[..., :1].real) * (z @ u.T),
@@ -31,3 +48,67 @@ def test_witness_is_refused_by_its_stage(n, seed, code):
     with pytest.raises(WignerError) as refused:
         wg.classify(transform, wg.ClassifyConfig(seed=seed))
     assert refused.value.code == code
+
+
+def assert_detail(exc, what: str, tol: float, low: float, high: float) -> None:
+    """The detail reads "<what> <value> exceeds <tol>", with low < value < high."""
+    match = re.fullmatch(re.escape(what) + r" (\S+) exceeds " + re.escape(f"{tol:g}"), str(exc))
+    assert match, str(exc)
+    assert low < float(match[1]) < high, str(exc)
+
+
+def orthogonal_plus(n: int, term):
+    """u -> O u + term(u1) e1, with O = haar_orthogonal(n, 3), as a real map."""
+    o = wg.haar_orthogonal(n, 3)
+    e1 = np.eye(n)[0]
+    return RealTransformation(lambda u: u @ o.T + term(u[..., :1]) * e1, n, vectorized=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_moved_origin_is_refused_at_the_origin_stage(n):
+    with pytest.raises(OriginNotFixed) as real:
+        wg.reconstruct_orthogonal(orthogonal_plus(n, lambda u1: 2e-9))
+    assert str(real.value) == "|T(0)| = 2e-09 exceeds 1e-09"
+    u = wg.haar_unitary(n, 3)
+    e1 = np.eye(n)[0]
+    moved = wg.Transformation(lambda z: z @ u.T + 2e-9 * e1, n, vectorized=True)
+    with pytest.raises(OriginNotFixed) as complex_:
+        wg.classify(moved)
+    assert str(complex_.value) == "|T(0)| = 2e-09 exceeds 1e-09"
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_step_scale_ripple_is_refused_at_the_orthogonality_stage(n):
+    # the stencil at +-h reads the ripple's two peaks, a slope of 1e-10 / h = 1e-5 along u1
+    ripple = orthogonal_plus(n, lambda u1: 1e-10 * np.sin(np.pi * u1 / (2 * DEFAULT_STEP)))
+    with pytest.raises(NotOrthogonal) as refused:
+        wg.reconstruct_orthogonal(ripple)
+    assert_detail(refused.value, "|O^T O - I| =", 1e-8, 1e-5, 3e-5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_step_scale_bump_is_refused_at_reconstruction_or_constancy(n):
+    # even in u1, so the stencil at the origin reads O; elsewhere its slope
+    # reaches 1e-10 * pi / (4h) = 7.9e-6
+    bump = orthogonal_plus(n, lambda u1: 1e-10 * np.sin(np.pi * u1 / (4 * DEFAULT_STEP)) ** 2)
+    with pytest.raises(ReconstructionMismatch) as refused:
+        wg.reconstruct_orthogonal(bump)
+    if n == 1:
+        assert_detail(refused.value, "relative reconstruction miss", 1e-8, 2.4e-8, 2.5e-8)
+    else:
+        assert_detail(refused.value, "off-origin Jacobian drift", 1e-8, 4e-6, 5e-6)
+
+
+@pytest.mark.parametrize(
+    "entry, what, low, high",
+    [
+        ({"kind": "linear", "n": 8, "seed": 5, "dressing_degree": 3},
+         "relative reconstruction miss", 5.9e-13, 6e-13),
+        ({"kind": "linear", "n": 3, "seed": 1}, "off-origin Jacobian drift", 6e-12, 7e-12),
+    ],
+)
+def test_classify_reaches_reconstruction_and_constancy_at_a_tight_tolerance(entry, what, low, high):
+    with pytest.raises(ReconstructionMismatch) as refused:
+        wg.classify(transformation_from_entry(entry), wg.ClassifyConfig(tol_unitary=1e-13))
+    tol = 1e-13 if what.startswith("relative") else 1e-12  # constancy allows 10 * tol_unitary
+    assert_detail(refused.value, what, tol, low, high)
