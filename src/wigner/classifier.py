@@ -18,9 +18,7 @@ The reconstructed operator is canonical only up to a global phase, which
 is why oracle comparisons go through `align_global_phase`.
 """
 
-import sys
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -30,8 +28,8 @@ from .errors import (
     NotASymmetry,
     NotUnitary,
     ReconstructionMismatch,
-    SchemaError,
     ZeroReference,
+    require_settings,
 )
 from .gauge import PRESERVE_TOL, gauge_fix
 from .states import Transformation, basis_state, random_state, zero_state
@@ -47,48 +45,6 @@ CAVEAT_N1 = "n1_branch_indistinct"
 # classify refuses maps on C^n with n above this
 DIMENSION_CAP = 64
 
-# most random pairs one preservation check draws (20 MB of points at n = 64)
-MAX_SAMPLES = 10_000
-
-# Steps outside this range leave the stencil to roundoff (z +- step == z away
-# from the origin) or to the map's curvature, and give wrong verdicts.
-STEP_RANGE = (1e-8, 1e-1)
-# A unitary at n <= 64 has an entry of modulus at least 1/8 in every row, so a
-# branch tolerance up to 0.1 still tells the two Jacobian blocks apart.
-TOL_BRANCH_MAX = 0.1
-
-
-def setting_problem(name: str, value) -> str | None:
-    """Every setting bound: the one `value` breaks, as "must be ...", or None.
-    `name` is a ClassifyConfig field, `num_pairs` (a sample count) or a tolerance."""
-    integral = name in ("samples", "num_pairs", "seed")
-    kinds = (int, Integral) if integral else (float, int, Real)  # builtins first: ABCs are slow
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        kind = "an integer" if integral else "a real number"
-        return f"must be {kind}, got {type(value).__name__}"
-    if name == "seed":
-        return "must be non-negative" if value < 0 else None
-    if integral and not 1 <= value <= MAX_SAMPLES:  # a sample count
-        return "must be at least 1" if value < 1 else f"must be at most {MAX_SAMPLES}"
-    if integral:
-        return None
-    if not abs(value) <= sys.float_info.max:  # NaN, +-inf or an int past every float
-        return "must be finite"
-    if value <= 0:
-        return "must be positive"
-    if name == "step" and not STEP_RANGE[0] <= value <= STEP_RANGE[1]:
-        return f"must be in [{STEP_RANGE[0]:g}, {STEP_RANGE[1]:g}]"
-    if name == "tol_branch" and value > TOL_BRANCH_MAX:
-        return f"must be at most {TOL_BRANCH_MAX:g}"
-    return None
-
-
-def require_settings(settings: dict, label=str) -> None:
-    """Raise SchemaError, naming label(name), for the first name: value out of bounds."""
-    for name, value in settings.items():
-        if problem := setting_problem(name, value):
-            raise SchemaError(f"{label(name)} {problem}")
-
 
 @dataclass(frozen=True)
 class ClassifyConfig:
@@ -96,7 +52,7 @@ class ClassifyConfig:
     subcommand reads as --<name>, with this type and default.
 
     Construction raises SchemaError for any field that breaks a bound of
-    `setting_problem`, so nothing is evaluated with it."""
+    `errors.setting_problem`, so nothing is evaluated with it."""
 
     step: float = DEFAULT_STEP
     tol_preserve: float = PRESERVE_TOL

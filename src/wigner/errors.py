@@ -12,10 +12,37 @@ default, and the CLI still emits a diagnostic report. A failed sampling
 check attaches its report as `.report` (None otherwise).
 
 Every verdict check passes by one rule, `WignerError.unless_below`: its
-value must be below its tolerance, so a NaN fails too.
+value must be below its tolerance, so a NaN fails too. Every setting
+passes by one table, `setting_problem`: every module reads its bounds
+through `require_settings`, which raises SchemaError.
 """
 
+import math
 import re
+import sys
+from numbers import Integral, Real
+
+# most random pairs one preservation check draws (20 MB of points at n = 64)
+MAX_SAMPLES = 10_000
+# Steps outside this range leave the stencil to roundoff (z +- step == z away
+# from the origin) or to the map's curvature, and give wrong verdicts.
+STEP_RANGE = (1e-8, 1e-1)
+# A unitary at n <= 64 has an entry of modulus at least 1/8 in every row, so a
+# branch tolerance up to 0.1 still tells the two Jacobian blocks apart.
+TOL_BRANCH_MAX = 0.1
+# highest degree of a generated dressing phase
+MAX_DRESSING_DEGREE = 4
+
+# every integer setting, as name: (least, most)
+_INTEGER_RANGES = {
+    "samples": (1, MAX_SAMPLES),  # a sample count
+    "num_pairs": (1, MAX_SAMPLES),
+    "seed": (0, math.inf),
+    "n": (1, math.inf),  # a dimension
+    "degree": (0, MAX_DRESSING_DEGREE),  # of a dressing phase
+    "dressing_degree": (0, MAX_DRESSING_DEGREE),
+    "levels": (0, 4),  # Richardson levels
+}
 
 
 class WignerError(Exception):
@@ -147,3 +174,39 @@ class SchemaError(WignerError):
     """A JSON input file (constants, manifest) or a setting violates its schema."""
 
     exit_code = 1
+
+
+def setting_problem(name: str, value) -> str | None:
+    """Every setting bound: the one `value` breaks, as "must be ...", or None.
+
+    A name of `_INTEGER_RANGES` is an integer in its range; any other name
+    (a step or a tolerance) a positive finite real, a `step` also in
+    STEP_RANGE and a `tol_branch` at most TOL_BRANCH_MAX. A bool is neither."""
+    integral = name in _INTEGER_RANGES
+    kinds = (int, Integral) if integral else (float, int, Real)  # builtins first: ABCs are slow
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if integral else "a real number"
+        return f"must be {kind}, got {type(value).__name__}"
+    if integral:
+        least, most = _INTEGER_RANGES[name]
+        if least <= value <= most:
+            return None
+        if least == 0:
+            return "must be non-negative" if most == math.inf else f"must be in 0..{most}"
+        return f"must be at least {least}" if value < least else f"must be at most {most}"
+    if not abs(value) <= sys.float_info.max:  # NaN, +-inf or an int past every float
+        return "must be finite"
+    if value <= 0:
+        return "must be positive"
+    if name == "step" and not STEP_RANGE[0] <= value <= STEP_RANGE[1]:
+        return f"must be in [{STEP_RANGE[0]:g}, {STEP_RANGE[1]:g}]"
+    if name == "tol_branch" and value > TOL_BRANCH_MAX:
+        return f"must be at most {TOL_BRANCH_MAX:g}"
+    return None
+
+
+def require_settings(settings: dict, label=str) -> None:
+    """Raise SchemaError, naming label(name), for the first name: value out of bounds."""
+    for name, value in settings.items():
+        if problem := setting_problem(name, value):
+            raise SchemaError(f"{label(name)} {problem}")

@@ -39,6 +39,7 @@ from .errors import (
     NotProbabilityPreserving,
     OriginNotFixed,
     SchemaError,
+    require_settings,
 )
 from .states import Transformation, as_state, random_state
 
@@ -113,8 +114,7 @@ def extract_theta(
     NotProbabilityPreserving when the overlap modulus is not preserved;
     SchemaError, before anything is evaluated, for a bad `preserve_tol`.
     """
-    if not 0 < preserve_tol < np.inf:
-        raise SchemaError("preserve_tol must be positive and finite")
+    require_settings({"preserve_tol": preserve_tol})
     w = as_state(w, transform.dimension)
     z = as_state(z, transform.dimension)
     overlap = complex(np.vdot(w, z))
@@ -205,13 +205,14 @@ def gauge_fix(
 ) -> GaugeFixedTransformation:
     """Wrap `transform` with the phase gauge that cancels theta(0, 0, z, z*).
 
-    Requires T(0) = 0 within ORIGIN_TOL (raises OriginNotFixed otherwise;
-    a map that moves the origin cannot be a candidate symmetry). After
-    construction the residual origin phase is re-measured on
-    REFERENCE_SAMPLES points drawn from `seed`, whose probes the fixed map
-    evaluates as one batch, and must vanish within RESIDUAL_PHASE_TOL,
-    which it does for any map preserving overlap moduli; a violation is
-    reported as NotProbabilityPreserving.
+    Raises SchemaError for a bad `preserve_tol` or `seed` before anything
+    is evaluated. Requires T(0) = 0 within ORIGIN_TOL (raises
+    OriginNotFixed otherwise; a map that moves the origin cannot be a
+    candidate symmetry). After construction the residual origin phase is
+    re-measured on REFERENCE_SAMPLES points drawn from `seed`, whose probes
+    the fixed map evaluates as one batch, and must vanish within
+    RESIDUAL_PHASE_TOL, which it does for any map preserving overlap
+    moduli; a violation is reported as NotProbabilityPreserving.
 
     The wrapped evaluator returns exactly 0 at z = 0 and
     exp(i*alpha(z)) * T(z) elsewhere, with alpha(z) = -origin_phase(z)
@@ -226,6 +227,7 @@ def gauge_fix(
     from a new base call, the same up to any roundoff by which the base
     map's image of a row depends on the rest of its batch.
     """
+    require_settings({"preserve_tol": preserve_tol, "seed": seed})
     n = transform.dimension
     require_origin_fixed(transform)
 
@@ -300,8 +302,7 @@ def verify_theta_antisymmetry(
     pairs = list(pairs)
     if not pairs:
         raise SchemaError("pairs must be non-empty")
-    if not 0 < tol < np.inf:
-        raise SchemaError("tol must be positive and finite")
+    require_settings({"tol": tol})
     deviations = []
     for w, z in pairs:
         forward = extract_theta(transform, w, z, preserve_tol=preserve_tol).theta

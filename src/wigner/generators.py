@@ -7,38 +7,20 @@ classification; analysis code never reads it.
 """
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .classifier import DIMENSION_CAP, require_settings, setting_problem, unitarity_residual
-from .errors import DimensionMismatch, NotUnitaryInput, SchemaError
+from .classifier import DIMENSION_CAP, unitarity_residual
+from .errors import DimensionMismatch, NotUnitaryInput, SchemaError, require_settings
 from .states import Transformation
 
 SYMMETRY_KINDS = ("linear", "antilinear")
 ADVERSARY_KINDS = ("scaling", "shear", "norm_warp", "rank_deficient")
 
-MAX_DRESSING_DEGREE = 4
 DRESSING_RIDGES = 2
 
 # manifest entries evolve dressing seeds away from the matrix seed
 _DRESSING_SEED_OFFSET = 500009
-
-
-def _require_integer(name: str, value) -> None:
-    """SchemaError unless `value` is an integer; a bool is not one."""
-    # int before the ABC, which is slow
-    if isinstance(value, bool) or not isinstance(value, (int, Integral)):
-        raise SchemaError(f"{name} must be an integer, got {type(value).__name__}")
-
-
-def _require_dimension_and_seed(n, seed) -> None:
-    """Refuse an n that is not an integer (SchemaError) or is below 1
-    (DimensionMismatch), then a seed out of its bounds (SchemaError)."""
-    _require_integer("n", n)
-    if n < 1:
-        raise DimensionMismatch("dimension must be at least 1")
-    require_settings({"seed": seed})
 
 
 def haar_unitary(n: int, seed: int) -> np.ndarray:
@@ -48,7 +30,7 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
     the QR phase ambiguity and makes the distribution exactly Haar.
     Deterministic per seed.
     """
-    _require_dimension_and_seed(n, seed)
+    require_settings({"n": n, "seed": seed})
     rng = np.random.default_rng(seed)
     ginibre = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
     q, r = np.linalg.qr(ginibre)
@@ -58,7 +40,7 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
 
 def haar_orthogonal(n: int, seed: int) -> np.ndarray:
     """Real counterpart of `haar_unitary` (sign-fixed QR of a real Gaussian)."""
-    _require_dimension_and_seed(n, seed)
+    require_settings({"n": n, "seed": seed})
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diagonal(r))
@@ -82,10 +64,7 @@ class DressingSpec:
 
     @classmethod
     def random(cls, n: int, degree: int, seed: int) -> "DressingSpec":
-        _require_dimension_and_seed(n, seed)
-        _require_integer("degree", degree)
-        if not 0 <= degree <= MAX_DRESSING_DEGREE:
-            raise SchemaError(f"degree must be in 0..{MAX_DRESSING_DEGREE}")
+        require_settings({"n": n, "seed": seed, "degree": degree})
         rng = np.random.default_rng(seed)
         directions = rng.uniform(-1.0, 1.0, size=(DRESSING_RIDGES, 2 * n))
         norms = np.linalg.norm(directions, axis=1, keepdims=True)
@@ -117,9 +96,12 @@ def make_symmetry(kind: str, matrix, dressing: "DressingSpec | None" = None) -> 
         raise SchemaError(f"kind must be one of {SYMMETRY_KINDS}, got {kind!r}")
     if dressing is not None and not isinstance(dressing, DressingSpec):
         raise SchemaError(f"dressing must be a DressingSpec or None, got {type(dressing).__name__}")
-    u = np.asarray(matrix, dtype=np.complex128)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionMismatch(f"matrix must be square, got shape {u.shape}")
+    try:
+        u = np.asarray(matrix, dtype=np.complex128)
+    except (TypeError, ValueError):  # numpy's words for "not a number"
+        raise SchemaError(f"matrix must be numeric, got {type(matrix).__name__}") from None
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or not u.size:
+        raise DimensionMismatch(f"matrix must be square and non-empty, got shape {u.shape}")
     n = u.shape[0]
     NotUnitaryInput.unless_below(unitarity_residual(u), 1e-10, "|U*U - I| =")
 
@@ -147,7 +129,7 @@ def make_adversary(kind: str, n: int, seed: int) -> Transformation:
     """
     if kind not in ADVERSARY_KINDS:
         raise SchemaError(f"kind must be one of {ADVERSARY_KINDS}, got {kind!r}")
-    _require_dimension_and_seed(n, seed)
+    require_settings({"n": n, "seed": seed})
     if kind in ("shear", "rank_deficient") and n < 2:
         raise DimensionMismatch(f"{kind} needs dimension >= 2")
 
@@ -218,23 +200,15 @@ def validate_manifest(obj) -> list[dict]:
         kind = raw.get("kind")
         if kind not in known:
             raise SchemaError(f"entry {idx}: unknown kind {kind!r}")
-        n = raw.get("n")
-        # JSON true and false load as bools, which are ints but not of type int
-        if type(n) is not int or n < 1:
-            raise SchemaError(f"entry {idx}: n must be a positive integer")
+        n, seed, degree = raw.get("n"), raw.get("seed"), raw.get("dressing_degree", 0)
+        settings = {"n": n, "seed": seed}
+        if kind in SYMMETRY_KINDS:
+            settings["dressing_degree"] = degree
+        require_settings(settings, lambda name: f"entry {idx}: {name}")
         if n > DIMENSION_CAP:
             raise SchemaError(f"entry {idx}: n = {n} exceeds the dimension cap {DIMENSION_CAP}")
         if kind in ("shear", "rank_deficient") and n < 2:
             raise SchemaError(f"entry {idx}: {kind} needs n >= 2")
-        seed = raw.get("seed")
-        if setting_problem("seed", seed):
-            raise SchemaError(f"entry {idx}: seed must be a non-negative integer")
-        degree = raw.get("dressing_degree", 0)
-        if kind in SYMMETRY_KINDS:
-            if type(degree) is not int or not 0 <= degree <= MAX_DRESSING_DEGREE:
-                raise SchemaError(
-                    f"entry {idx}: dressing_degree must be in 0..{MAX_DRESSING_DEGREE}"
-                )
         entries.append({"kind": kind, "n": n, "seed": seed, "dressing_degree": degree})
     return entries
 

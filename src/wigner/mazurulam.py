@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import PreservationReport, relative_miss, require_settings, sample_pairs
-from .classifier import unitarity_residual
-from .errors import NotIsometry, NotOrthogonal, ReconstructionMismatch
+from .classifier import PreservationReport, relative_miss, sample_pairs, unitarity_residual
+from .errors import NotIsometry, NotOrthogonal, ReconstructionMismatch, require_settings
 from .gauge import require_origin_fixed
 from .states import Transformation
 from .wirtinger import DEFAULT_STEP, real_jacobian

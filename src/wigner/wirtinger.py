@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteEvaluation, SchemaError
+from .errors import NonFiniteEvaluation, SchemaError, require_settings
 from .states import Transformation, as_state
 
 DEFAULT_STEP = 1e-5
@@ -60,10 +60,10 @@ def _central_differences(transform, at: np.ndarray, step: float, units) -> np.nd
     Unit 1 differentiates along the real axes, unit i along the imaginary
     ones. Costs 2n evaluations per unit, all sent as one batch: the +h and
     -h offsets of the first unit, then those of the next. Finite images
-    whose difference overflows raise NonFiniteEvaluation.
+    whose difference overflows raise NonFiniteEvaluation. The step must be
+    a positive finite real, not in STEP_RANGE: Richardson rungs go below it.
     """
-    if not 0 < step < np.inf:
-        raise SchemaError("step must be positive and finite")
+    require_settings({"stencil step": step})
     n = transform.dimension
     points = []
     for unit in units:
@@ -99,13 +99,13 @@ def richardson_refine(
 ) -> WirtingerJacobian:
     """Richardson-extrapolated Jacobian pair.
 
-    `levels` in 1..4; each level halves the step once more and cancels the
+    `levels` in 0..4; each level halves the step once more and cancels the
     next even-order truncation term (error order 2*(levels+1) for smooth
-    maps). Costs (levels+1) plain Jacobians. Finite Jacobians whose
-    combination overflows raise NonFiniteEvaluation.
+    maps), and level 0 is the plain Jacobian, bit for bit. Costs (levels+1)
+    plain Jacobians. Finite Jacobians whose combination overflows raise
+    NonFiniteEvaluation.
     """
-    if not 1 <= levels <= 4:
-        raise SchemaError("levels must be between 1 and 4")
+    require_settings({"levels": levels, "stencil step": base_step})
     ladder = [
         wirtinger_jacobian(transform, at, base_step / 2.0**k)
         for k in range(levels + 1)
@@ -146,8 +146,7 @@ def analyticity_test(
     points = list(points)
     if not points:
         raise SchemaError("points must be non-empty")
-    if not 0 < tol < np.inf:
-        raise SchemaError("tol must be positive and finite")
+    require_settings({"tol": tol})
     residuals = [
         wirtinger_jacobian(transform, p, step).d_zbar_norm for p in points
     ]

@@ -5,14 +5,11 @@ import numpy as np
 import pytest
 
 import wigner as wg
-from wigner.classifier import (
+from wigner.classifier import _decide_branch, _require_unitary
+from wigner.errors import (
     MAX_SAMPLES,
     STEP_RANGE,
     TOL_BRANCH_MAX,
-    _decide_branch,
-    _require_unitary,
-)
-from wigner.errors import (
     DimensionMismatch,
     MixedBranch,
     NotASymmetry,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import wigner as wg
-from wigner.classifier import MAX_SAMPLES
+from wigner.errors import MAX_SAMPLES
 from wigner.cli import REPORT_SCHEMA, build_parser, main
 
 CONJUGATION = "dim 2;\nT1 = conj(z1);\nT2 = conj(z2);\n"
@@ -186,6 +186,19 @@ def test_diff_phase_dressed_point(tmp_path, capsys):
     got = complex(*report["d_zbar"][0][0])
     assert abs(got - expected) < 1e-7
     assert report["levels"] == 1
+
+
+@pytest.mark.parametrize("point", [None, "0.3-1i, 2"])
+def test_diff_levels_0_reports_the_plain_jacobian(tmp_path, capsys, point):
+    text = "dim 2;\nT1 = expi(re(z1 * z2)) * z2;\nT2 = conj(z1);\n"
+    args = ["diff", "--spec", write_spec(tmp_path, text), "--levels", "0"]
+    code, report = run_json(args + ([] if point is None else ["--point", point]), capsys)
+    at = np.zeros(2) if point is None else np.array([0.3 - 1j, 2.0])
+    jac = wg.wirtinger_jacobian(wg.compile_to_transformation(wg.parse(text)), at, 1e-5)
+    assert code == 0
+    assert report["d_z"] == [[[v.real, v.imag] for v in row] for row in jac.d_z.tolist()]
+    assert report["d_zbar"] == [[[v.real, v.imag] for v in row] for row in jac.d_zbar.tolist()]
+    assert (report["d_zbar_max"], report["levels"]) == (jac.d_zbar_norm, 0)
 
 
 def test_diff_point_dimension_checked(tmp_path, capsys):

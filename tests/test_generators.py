@@ -149,11 +149,16 @@ def test_validate_manifest_errors():
     [
         ({"kind": "linear", "n": 65, "seed": 1}, "n = 65 exceeds the dimension cap 64"),
         ({"kind": "scaling", "n": 65, "seed": 1}, "n = 65 exceeds the dimension cap 64"),
-        ({"kind": "linear", "n": True, "seed": 1}, "n must be a positive integer"),
-        ({"kind": "linear", "n": 2, "seed": True}, "seed must be a non-negative integer"),
-        ({"kind": "shear", "n": 2, "seed": -1}, "seed must be a non-negative integer"),
+        ({"kind": "linear", "n": True, "seed": 1}, "n must be an integer, got bool"),
+        ({"kind": "linear", "n": 2, "seed": True}, "seed must be an integer, got bool"),
+        ({"kind": "shear", "n": 2, "seed": -1}, "seed must be non-negative"),
         (
             {"kind": "linear", "n": 2, "seed": 1, "dressing_degree": True},
+            "dressing_degree must be an integer, got bool",
+        ),
+        ({"kind": "linear", "n": 0, "seed": 1}, "n must be at least 1"),
+        (
+            {"kind": "linear", "n": 2, "seed": 1, "dressing_degree": 5},
             "dressing_degree must be in 0..4",
         ),
     ],
@@ -174,6 +179,21 @@ def test_make_symmetry_takes_only_a_dressing_spec():
         wg.make_symmetry("linear", np.eye(2), lambda z: 0.0)
     assert wg.make_symmetry("linear", np.eye(2)).vectorized
     assert wg.make_symmetry("linear", np.eye(2), wg.DressingSpec.random(2, 1, 3)).vectorized
+
+
+@pytest.mark.parametrize(
+    "matrix, error, message",
+    [
+        (np.zeros((0, 0)), DimensionMismatch, "matrix must be square and non-empty, got shape (0, 0)"),
+        (np.ones((2, 3)), DimensionMismatch, "matrix must be square and non-empty, got shape (2, 3)"),
+        ("ab", SchemaError, "matrix must be numeric, got str"),
+        ([[1, "a"], [0, 1]], SchemaError, "matrix must be numeric, got list"),
+    ],
+)
+def test_make_symmetry_refuses_a_malformed_matrix_with_a_typed_error(matrix, error, message):
+    with pytest.raises(error) as refused:
+        wg.make_symmetry("linear", matrix)
+    assert str(refused.value) == message
 
 
 def test_transformation_from_entry_round_trip():

@@ -23,8 +23,8 @@ from hypothesis import given, settings, strategies as st
 
 import wigner as wg
 from wigner import dsl
-from wigner.errors import SchemaError, WignerError
-from wigner.generators import ADVERSARY_KINDS, MAX_DRESSING_DEGREE, SYMMETRY_KINDS
+from wigner.errors import MAX_DRESSING_DEGREE, SchemaError, WignerError
+from wigner.generators import ADVERSARY_KINDS, SYMMETRY_KINDS
 from wigner.mazurulam import RealTransformation
 
 from test_dsl_properties import MATRIX_NAMES, trees
@@ -149,6 +149,21 @@ REFUSED = {
     "verify_theta_antisymmetry-tol-nan": lambda t, r: wg.verify_theta_antisymmetry(
         t, [(np.ones(2), np.ones(2))], tol=math.nan
     ),
+    "analyticity_test-tol-str": lambda t, r: wg.analyticity_test(t, [np.zeros(2)], "a"),
+    "wirtinger_jacobian-step-str": lambda t, r: wg.wirtinger_jacobian(t, np.zeros(2), "1e-5"),
+    "extract_theta-preserve_tol-None": lambda t, r: wg.extract_theta(
+        t, np.ones(2), np.ones(2), preserve_tol=None
+    ),
+    "verify_theta_antisymmetry-tol-str": lambda t, r: wg.verify_theta_antisymmetry(
+        t, [(np.ones(2), np.ones(2))], tol="x"
+    ),
+    "richardson_refine-levels-1.5": lambda t, r: wg.richardson_refine(t, np.zeros(2), 1e-5, 1.5),
+    "richardson_refine-levels-bool": lambda t, r: wg.richardson_refine(t, np.zeros(2), 1e-5, True),
+    "richardson_refine-levels--1": lambda t, r: wg.richardson_refine(t, np.zeros(2), 1e-5, -1),
+    "gauge_fix-seed--1": lambda t, r: wg.gauge_fix(t, seed=-1),
+    "gauge_fix-seed-1.5": lambda t, r: wg.gauge_fix(t, seed=1.5),
+    "gauge_fix-preserve_tol-str": lambda t, r: wg.gauge_fix(t, preserve_tol="x"),
+    "gauge_fix-preserve_tol-nan": lambda t, r: wg.gauge_fix(t, preserve_tol=math.nan),
 }
 
 

@@ -19,8 +19,7 @@ import pytest
 
 import wigner as wg
 from oracles import reference_isometry, reference_preservation
-from wigner.classifier import MAX_SAMPLES
-from wigner.errors import SchemaError
+from wigner.errors import MAX_SAMPLES, SchemaError
 from wigner.mazurulam import RealTransformation
 
 DIMENSIONS = (1, 2, 8, 64)

@@ -94,9 +94,21 @@ def test_richardson_conjugation_exact():
 
 def test_richardson_levels_validated():
     with pytest.raises(SchemaError):
-        wg.richardson_refine(identity(), np.zeros(3), 1e-3, 0)
+        wg.richardson_refine(identity(), np.zeros(3), 1e-3, -1)
     with pytest.raises(SchemaError):
         wg.richardson_refine(identity(), np.zeros(3), 1e-3, 5)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_richardson_level_0_is_the_plain_jacobian_bit_for_bit(n):
+    dressing = wg.DressingSpec.random(n, 3, 5)
+    transform = wg.make_symmetry("antilinear", wg.haar_unitary(n, 5), dressing)
+    at = wg.random_state(n, np.random.default_rng(n))
+    plain = wg.wirtinger_jacobian(transform, at, 1e-4)
+    level0 = wg.richardson_refine(transform, at, 1e-4, 0)
+    for got, want in ((level0.d_z, plain.d_z), (level0.d_zbar, plain.d_zbar), (level0.at, plain.at)):
+        assert got.tobytes() == want.tobytes()
+    assert level0.step == plain.step
 
 
 def test_step_must_be_positive():
