@@ -12,7 +12,7 @@ import numpy as np
 
 from .classifier import DIMENSION_CAP, unitarity_residual
 from .errors import DimensionMismatch, NotUnitaryInput, SchemaError, require_settings
-from .states import Transformation
+from .states import Transformation, as_array
 
 SYMMETRY_KINDS = ("linear", "antilinear")
 ADVERSARY_KINDS = ("scaling", "shear", "norm_warp", "rank_deficient")
@@ -96,10 +96,7 @@ def make_symmetry(kind: str, matrix, dressing: "DressingSpec | None" = None) -> 
         raise SchemaError(f"kind must be one of {SYMMETRY_KINDS}, got {kind!r}")
     if dressing is not None and not isinstance(dressing, DressingSpec):
         raise SchemaError(f"dressing must be a DressingSpec or None, got {type(dressing).__name__}")
-    try:
-        u = np.asarray(matrix, dtype=np.complex128)
-    except (TypeError, ValueError):  # numpy's words for "not a number"
-        raise SchemaError(f"matrix must be numeric, got {type(matrix).__name__}") from None
+    u = as_array(matrix, "matrix")
     if u.ndim != 2 or u.shape[0] != u.shape[1] or not u.size:
         raise DimensionMismatch(f"matrix must be square and non-empty, got shape {u.shape}")
     n = u.shape[0]
@@ -186,8 +183,9 @@ def validate_manifest(obj) -> list[dict]:
     """Check a parsed manifest against the corpus schema.
 
     The manifest is a non-empty JSON list of entries {kind, n, seed,
-    dressing_degree?}: n in 1..DIMENSION_CAP, seed a non-negative integer;
-    dressing_degree applies to symmetry kinds only and defaults to 0.
+    dressing_degree?}: n in 1..DIMENSION_CAP, seed a non-negative integer,
+    dressing_degree in 0..MAX_DRESSING_DEGREE (default 0), bounded for
+    every kind though only symmetry kinds are dressed.
     Raises SchemaError with the offending index, before any map is built.
     """
     if not isinstance(obj, list) or not obj:
@@ -201,9 +199,7 @@ def validate_manifest(obj) -> list[dict]:
         if kind not in known:
             raise SchemaError(f"entry {idx}: unknown kind {kind!r}")
         n, seed, degree = raw.get("n"), raw.get("seed"), raw.get("dressing_degree", 0)
-        settings = {"n": n, "seed": seed}
-        if kind in SYMMETRY_KINDS:
-            settings["dressing_degree"] = degree
+        settings = {"n": n, "seed": seed, "dressing_degree": degree}
         require_settings(settings, lambda name: f"entry {idx}: {name}")
         if n > DIMENSION_CAP:
             raise SchemaError(f"entry {idx}: n = {n} exceeds the dimension cap {DIMENSION_CAP}")

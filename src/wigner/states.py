@@ -1,16 +1,25 @@
 """State vectors and evaluatable transformations on C^n."""
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteEvaluation
+from .errors import DimensionMismatch, NonFiniteEvaluation, SchemaError, require_settings
+
+
+def as_array(value, what: str, dtype=np.complex128) -> np.ndarray:
+    """`value` as an array of `dtype`; SchemaError, naming `what`, unless it is numeric."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError):  # numpy's words for "not a number"
+        raise SchemaError(f"{what} must be numeric, got {type(value).__name__}") from None
 
 
 def as_state(z, dim: int | None = None, dtype=np.complex128) -> np.ndarray:
     """Coerce `z` to a finite 1-D vector of `dtype`, checking its dimension."""
-    arr = np.atleast_1d(np.asarray(z, dtype=dtype))
+    arr = np.atleast_1d(as_array(z, "state", dtype))
     if arr.ndim != 1:
         raise DimensionMismatch(f"state must be a vector, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
@@ -33,7 +42,9 @@ def basis_state(dim: int, index: int) -> np.ndarray:
 def random_state(dim: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
     """Standard complex Gaussian vectors (each component CN(0, 1)) of shape
     `shape + (dim,)`, from one draw that takes the real, then the imaginary
-    parts of each vector in turn: bit for bit one call per vector."""
+    parts of each vector in turn: bit for bit one call per vector.
+    SchemaError unless `dim` is an integer of 1 or more."""
+    require_settings({"n": dim}, lambda name: "dim")
     draw = rng.standard_normal((*shape, 2, dim))
     # filled in place: `(re + 1j * im) / sqrt(2)` would hold two more such arrays
     z = draw[..., 0, :].astype(np.complex128)
@@ -68,8 +79,10 @@ class Transformation:
     dtype = np.complex128
 
     def __post_init__(self):
-        if self.dimension < 1:
+        # an integer below 1 is a shape problem, any other bad value a schema one
+        if isinstance(self.dimension, Integral) and self.dimension < 1:
             raise DimensionMismatch("dimension must be at least 1")
+        require_settings({"n": self.dimension}, lambda name: "dimension")
 
     def __call__(self, z) -> np.ndarray:
         zv = np.asarray(z, dtype=self.dtype)

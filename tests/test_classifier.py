@@ -269,3 +269,49 @@ def test_accepted_operator_passes_preservation_when_replayed():
     report = wg.check_preservation(replay, 100, seed=5, tol=1e-10)
     assert report.passed
     assert report.max_deviation < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["linear", "antilinear"])
+def test_preservation_headroom_at_the_dimension_cap(kind):
+    # Dressed symmetries at n = 64 deviate by roundoff in 64-term overlaps:
+    # the worst over degrees 1-3 and seeds 0-2 of both branches measured
+    # 1.4e-13, against the default tol_preserve of 1e-8.
+    for degree, seed in ((1, 0), (2, 1), (3, 2)):
+        dressing = wg.DressingSpec.random(64, degree, seed + 10)
+        transform = wg.make_symmetry(kind, wg.haar_unitary(64, seed), dressing)
+        report = wg.check_preservation(transform, 50, seed, wg.gauge.PRESERVE_TOL)
+        assert report.passed
+        assert report.pairs_tested == 64 + 4 + 50
+        assert report.max_deviation < 1e-12
+
+
+# The detection floor of a near-symmetry against the default tol_preserve
+# of 1e-8: T = U (I + delta E_12) on C^3 deviates by 5.06 delta, at the
+# scaled parallel pair. A rejection lists the 7 special pairs (zero, three
+# basis, orthogonal, two parallel); an accept all 57.
+SHEAR_FLOOR = [
+    # delta, verdict, pairs listed
+    (1e-8, "not_a_symmetry", 7),
+    (1e-9, "linear", 57),
+]
+
+
+@pytest.mark.parametrize("delta, verdict, pairs", SHEAR_FLOOR)
+def test_shear_detection_floor_n3(delta, verdict, pairs):
+    u = wg.haar_unitary(3, 0)
+    shear = np.eye(3, dtype=complex)
+    shear[0, 1] = delta
+    matrix = u @ shear
+    transform = wg.Transformation(lambda z: z @ matrix.T, 3, vectorized=True)
+    report = wg.check_preservation(transform, 50, 0, wg.gauge.PRESERVE_TOL)
+    assert report.pairs_tested == pairs
+    assert 5.0 * delta < report.max_deviation < 5.1 * delta
+    assert report.labels[int(report.columns[:, -1].argmax())] == "parallel_scaled"
+    if verdict == "not_a_symmetry":
+        with pytest.raises(NotASymmetry):
+            wg.classify(transform)
+    else:
+        result = wg.classify(transform)
+        assert result.branch == verdict
+        # measured 7.6e-10: the shear itself, seen through the gauge
+        assert wg.align_global_phase(result.operator, u).aligned_residual < 1e-8

@@ -161,6 +161,10 @@ def test_validate_manifest_errors():
             {"kind": "linear", "n": 2, "seed": 1, "dressing_degree": 5},
             "dressing_degree must be in 0..4",
         ),
+        (
+            {"kind": "scaling", "n": 2, "seed": 1, "dressing_degree": "x"},
+            "dressing_degree must be an integer, got str",
+        ),
     ],
 )
 def test_validate_manifest_refuses_values_no_map_can_take(entry, message):

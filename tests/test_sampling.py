@@ -1,15 +1,16 @@
 """The array pair samplers against the loop they replaced.
 
-`check_preservation` and `check_isometry` draw every random pair in one
-call and score all pairs row-wise. `tests/oracles.py` keeps the loop, one
-draw per vector and one record per pair, as the reference: the points
-must be the same bits, labels, counts and verdicts the same, and the
-numbers equal to roundoff. The row-wise sums add in another order, so a
-product moves by a few ulps of the sum of the moduli of its terms, which
-Cauchy-Schwarz bounds by |w||z|. Numbers must agree within 1e-13 times
-the largest of 1, the value and |w||z| + |Tw||Tz|: where the terms
-cancel, as in the real part of a norm warp, the value is far smaller than
-the terms.
+`check_preservation` and `check_isometry` score the special pairs row-wise
+as one batch and, only when all of them pass, draw every random pair in
+one call and score them as a second batch. `tests/oracles.py` keeps the
+loop, one draw per vector and one record per pair, as the reference: the
+points must be the same bits, labels, counts and verdicts the same (a
+failed special pair ends the listing), and the numbers equal to
+roundoff. The row-wise sums add in another order, so a product moves by
+a few ulps of the sum of the moduli of its terms, which Cauchy-Schwarz
+bounds by |w||z|. Numbers must agree within 1e-13 times the largest of 1,
+the value and |w||z| + |Tw||Tz|: where the terms cancel, as in the real
+part of a norm warp, the value is far smaller than the terms.
 """
 
 import tracemalloc
@@ -19,7 +20,7 @@ import pytest
 
 import wigner as wg
 from oracles import reference_isometry, reference_preservation
-from wigner.errors import MAX_SAMPLES, SchemaError
+from wigner.errors import MAX_SAMPLES, NotASymmetry, SchemaError
 from wigner.mazurulam import RealTransformation
 
 DIMENSIONS = (1, 2, 8, 64)
@@ -72,10 +73,22 @@ def close(value, reference, scale):
     return abs(value - reference) <= 1e-13 * max(1.0, abs(reference), scale)
 
 
+def assert_records_close(records, records_ref, images, where):
+    image_norms = np.linalg.norm(images, axis=-1).prod(axis=1)
+    assert len(records) == len(records_ref) == len(image_norms), where
+    for got, ref, image_norm in zip(records, records_ref, image_norms):
+        scale = ref.norm_w * ref.norm_z + image_norm
+        for key in ("norm_w", "norm_z", "expected", "deviation"):
+            assert close(getattr(got, key), getattr(ref, key), scale), (where, got, ref)
+
+
 @pytest.mark.parametrize("num_pairs", (1, 50, 333))
 @pytest.mark.parametrize("n", DIMENSIONS)
 @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
 def test_array_sampler_matches_the_loop(sampler, n, num_pairs):
+    # The oracle evaluates every pair in one batch. The sampler evaluates the
+    # specials first; on a pass the random pairs follow as a second batch,
+    # on a failure it stops, and its listing is the oracle's specials.
     sample, reference, maps = SAMPLERS[sampler]
     for seed in SEEDS:
         for name, transform in maps(n, seed).items():
@@ -84,20 +97,64 @@ def test_array_sampler_matches_the_loop(sampler, n, num_pairs):
             watched_ref, batches_ref = recorded(transform)
             records_ref, passed_ref = reference(watched_ref, num_pairs, seed, TOL)
             where = (name, seed)
-            assert len(batches) == len(batches_ref) == 1, where
-            assert batches[0].dtype == batches_ref[0].dtype, where
-            assert np.array_equal(batches[0], batches_ref[0]), where
+            assert len(batches_ref) == 1, where
+            specials = sum(r.label != "random" for r in records_ref)
+            if max(r.deviation for r in records_ref[:specials]) < TOL:
+                sizes = [2 * specials, len(batches_ref[0]) - 2 * specials]
+                assert [len(b) for b in batches] == sizes, where
+                assert np.array_equal(np.concatenate(batches), batches_ref[0]), where
+            else:
+                assert [len(b) for b in batches] == [2 * specials], where
+                assert np.array_equal(batches[0], batches_ref[0][: 2 * specials]), where
+                records_ref = records_ref[:specials]
+            assert all(b.dtype == batches_ref[0].dtype for b in batches), where
             records = report.records
             assert [r.label for r in records] == [r.label for r in records_ref], where
             assert report.pairs_tested == len(records_ref), where
             assert report.passed == passed_ref, where
             assert report.max_deviation == max(r.deviation for r in records), where
-            images = transform(batches[0]).reshape(-1, 2, n)
-            image_norms = np.linalg.norm(images, axis=-1).prod(axis=1)
-            for got, ref, image_norm in zip(records, records_ref, image_norms):
-                scale = ref.norm_w * ref.norm_z + image_norm
-                for key in ("norm_w", "norm_z", "expected", "deviation"):
-                    assert close(getattr(got, key), getattr(ref, key), scale), (where, got, ref)
+            images = transform(np.concatenate(batches)).reshape(-1, 2, n)
+            assert_records_close(records, records_ref, images, where)
+
+
+def radial_defect(n, radius):
+    """The identity inside the ball of `radius`, 2z outside it: every special
+    pair inside the ball passes, a random pair reaching past it fails."""
+
+    def evaluator(z):
+        outside = np.linalg.norm(z, axis=-1, keepdims=True) > radius
+        return np.where(outside, 2.0 * z, z)
+
+    return wg.Transformation(evaluator, n, vectorized=True)
+
+
+# seeds whose 50 random pairs reach past every special point (the scaled
+# parallel pair, 2.5 times a Gaussian vector, is often the farthest)
+@pytest.mark.parametrize("n, seed", ((1, 0), (2, 1), (8, 18)))
+def test_a_defect_only_random_pairs_reach_fails_in_the_second_batch(n, seed):
+    num_pairs = 50
+    records_ref, _ = reference_preservation(wg.make_symmetry("linear", np.eye(n)), 1, seed, TOL)
+    specials = [r for r in records_ref if r.label != "random"]
+    radius = max(max(r.norm_w, r.norm_z) for r in specials)
+    defect = radial_defect(n, radius)
+    watched, batches = recorded(defect)
+    report = wg.check_preservation(watched, num_pairs, seed, TOL)
+    # every special point lies in the ball, and some random point outside it
+    assert [len(b) for b in batches] == [2 * len(specials), 2 * num_pairs]
+    assert np.linalg.norm(batches[0], axis=-1).max() <= radius
+    assert np.linalg.norm(batches[1], axis=-1).max() > radius
+    assert not report.passed
+    assert report.pairs_tested == len(specials) + num_pairs
+    columns = report.columns
+    assert columns[: len(specials), -1].max() == 0.0
+    assert report.max_deviation == columns[len(specials) :, -1].max() > 1.0
+    records_ref, passed_ref = reference_preservation(defect, num_pairs, seed, TOL)
+    assert not passed_ref
+    images = defect(np.concatenate(batches)).reshape(-1, 2, n)
+    assert_records_close(report.records, records_ref, images, n)
+    with pytest.raises(NotASymmetry) as refused:
+        wg.classify(defect, wg.ClassifyConfig(samples=num_pairs, seed=seed))
+    assert refused.value.report.pairs_tested == report.pairs_tested
 
 
 @pytest.mark.parametrize("n", DIMENSIONS)
