@@ -18,6 +18,12 @@ Grammar ('#' comments run to end of line; whitespace is insignificant):
     atom    :=  NUMBER | "i" | FUNC "(" expr ")" | "norm2" "(" ")"
               | "mat" "(" NAME ")" | VAR | "(" expr ")"
 
+Lines split at "\\n" only ("\\r\\n" ends a line, "\\u2028" does not), and
+whitespace is every character that `str.isspace` accepts. Line and column
+are 1-based and count characters; the end of input stands at column 1 of
+the last line. Errors are raised lazily, in reading order: a character
+that starts no token is refused only once the parser reaches it.
+
 NUMBER is an unsigned decimal, optionally in scientific notation, with an
 optional trailing `i` marking an imaginary literal; bare `i` is the
 imaginary unit. A complex constant `a+bi` is therefore ordinary addition
@@ -52,7 +58,6 @@ import operator
 import re as _re
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -172,160 +177,146 @@ class TransformSpec:
 # ---------------------------------------------------------------------------
 # tokenizer
 
+# One match per token: the whitespace and comments before it, then the
+# token. "\n" is a token of its own, so that lines are counted; any other
+# character that starts no token is refused when the parser reaches it.
 _TOKEN_RE = _re.compile(
-    r"(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?i?)"
+    r"(?:[^\S\n]+|#[^\n]*)*"
+    r"(?:(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?i?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<punct>[;=()+\-*/])"
+    r"|(?P<newline>\n)|(?P<eof>\Z)|(?P<bad>.))"
 )
+_VAR = _re.compile(r"z([1-9][0-9]*)").fullmatch
+_TARGET = _re.compile(r"T([1-9][0-9]*)").fullmatch
 
 
-class _Token(NamedTuple):
-    kind: str  # "number" | "ident" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(source: str) -> Iterator[_Token]:
-    """Yield the tokens of `source`, then "eof"; lazily, so a parse never holds them all."""
-    for lineno, line in enumerate(source.split("\n"), start=1):
-        pos = 0
-        comment = line.find("#")
-        if comment != -1:
-            line = line[:comment]
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            match = _TOKEN_RE.match(line, pos)
-            if match is None:
-                raise ParseError(f"unexpected character {line[pos]!r}", lineno, pos + 1)
-            kind = match.lastgroup
-            yield _Token(kind, match.group(), lineno, pos + 1)
-            pos = match.end()
-    yield _Token("eof", "", source.count("\n") + 1, 1)
+def _tokenize(source: str):
+    """Yield (kind, text, line, column) per token of `source`, kind "number",
+    "ident", "punct" or last "eof" (text "", column 1); lazily, so a parse
+    never holds every token and a bad character raises only once reached."""
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+            continue
+        text = match[kind]
+        if kind == "eof":
+            yield kind, text, line, 1
+            return
+        column = match.end() - len(text) - line_start + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line, column)
+        yield kind, text, line, column
 
 
 # ---------------------------------------------------------------------------
 # parser
 
+_EXPRESSION_START = ("number", "identifier", "(", "-")
+
+
+def _found(tok) -> str:
+    return repr(tok[1]) if tok[1] else "end of input"
+
+
 class _Parser:
-    def __init__(self, tokens: Iterator[_Token], dimension: int = 0):
-        self.tokens = tokens
-        self.current = next(tokens)  # the one token of lookahead
-        self.dimension = dimension
+    """Recursive descent with `tok`, the next (kind, text, line, column)
+    token, as its one lookahead.
 
-    def peek(self) -> _Token:
-        return self.current
+    A punctuation token is told by its text alone, which no other token
+    has. Each parse_* method parses a node at `level` (root 1) and returns
+    it with its deepest leaf's level; `nest` keeps that within MAX_DEPTH,
+    and an operator pushes its operands down.
+    """
 
-    def advance(self) -> _Token:
-        tok = self.current
-        if tok.kind != "eof":
-            self.current = next(self.tokens)
-        return tok
+    def __init__(self, source: str):
+        self.tokens = _tokenize(source)
+        self.tok = next(self.tokens)
+        self.dimension = 0  # of the variables, once known
 
-    def fail(self, message: str, tok: _Token, expected=()):
-        raise ParseError(message, tok.line, tok.col, expected)
+    def fail(self, message: str, tok, expected=()):
+        raise ParseError(message, tok[2], tok[3], expected)
 
-    @staticmethod
-    def describe(tok: _Token) -> str:
-        return repr(tok.text) if tok.text else "end of input"
+    def expect(self, text: str) -> None:
+        """Move past the punctuation `text`, or fail at the token in its place."""
+        tok = self.tok
+        if tok[1] != text:
+            self.fail(f"expected {text!r}, found {_found(tok)}", tok, (text,))
+        self.tok = next(self.tokens)
 
-    def expect_punct(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
-            self.fail(f"expected {text!r}, found {self.describe(tok)}", tok, expected=(text,))
-        return self.advance()
-
-    def expect_int(self) -> tuple[int, _Token]:
-        tok = self.peek()
-        if tok.kind != "number" or not tok.text.isdigit():
-            self.fail(f"expected an integer, found {self.describe(tok)}", tok, ("integer",))
-        self.advance()
-        return int(tok.text), tok
-
-    def nest(self, tok: _Token, level: int) -> int:
+    def nest(self, tok, level: int) -> int:
         """`level` + 1, refused at `tok` when that passes MAX_DEPTH."""
         if level >= MAX_DEPTH:
             self.fail(f"expression nests deeper than {MAX_DEPTH} levels", tok)
         return level + 1
 
-    # + - over * / over unary minus over atoms. Each method parses a node at
-    # `level` (root 1) and returns it with its deepest leaf's level; `nest`
-    # keeps that within MAX_DEPTH, and an operator pushes its operands down.
     def parse_expression(self, level: int = 1):
         node, reach = self.parse_term(level)
-        while self.peek().kind == "punct" and self.peek().text in "+-":
-            op = self.advance()
+        while (op := self.tok)[1] == "+" or op[1] == "-":
+            self.tok = next(self.tokens)
             right, right_reach = self.parse_term(level)
             reach = self.nest(op, max(reach, right_reach))
-            node = BinOp(op.text, node, right, pos=(op.line, op.col))
+            node = BinOp(op[1], node, right, (op[2], op[3]))
         return node, reach
 
     def parse_term(self, level: int):
         node, reach = self.parse_factor(level)
-        while self.peek().kind == "punct" and self.peek().text in "*/":
-            op = self.advance()
+        while (op := self.tok)[1] == "*" or op[1] == "/":
+            self.tok = next(self.tokens)
             right, right_reach = self.parse_factor(level)
             reach = self.nest(op, max(reach, right_reach))
-            node = BinOp(op.text, node, right, pos=(op.line, op.col))
+            node = BinOp(op[1], node, right, (op[2], op[3]))
         return node, reach
 
     def parse_factor(self, level: int):
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == "-":
-            self.advance()
-            node, reach = self.parse_factor(self.nest(tok, level))
-            return Neg(node, pos=(tok.line, tok.col)), reach
-        return self.parse_atom(level)
-
-    def parse_atom(self, level: int):
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            if tok.text.endswith("i"):
-                return Literal(complex(0.0, float(tok.text[:-1])), pos=(tok.line, tok.col)), level
-            return Literal(complex(float(tok.text), 0.0), pos=(tok.line, tok.col)), level
-        if tok.kind == "punct" and tok.text == "(":
-            self.advance()
+        """A unary minus, a literal, a parenthesised group or a name's atom."""
+        tok = self.tok
+        kind, text, line, column = tok
+        if text == "-" or text == "(":
+            self.tok = next(self.tokens)
+            if text == "-":
+                node, reach = self.parse_factor(self.nest(tok, level))
+                return Neg(node, (line, column)), reach
             node = self.parse_expression(self.nest(tok, level))
-            self.expect_punct(")")
+            self.expect(")")
             return node
-        if tok.kind == "ident":
-            return self.parse_identifier(level)
-        expected = ("number", "identifier", "(", "-")
-        self.fail(f"expected an expression, found {self.describe(tok)}", tok, expected)
-
-    def parse_identifier(self, level: int):
-        tok = self.advance()
-        name = tok.text
-        if name == "i":
-            return Literal(1j, pos=(tok.line, tok.col)), level
-        if name == "mat":
-            self.expect_punct("(")
-            ident = self.peek()
-            if ident.kind != "ident":
-                self.fail("expected a matrix name", ident, expected=("name",))
-            self.advance()
-            self.expect_punct(")")
-            return MatApply(ident.text, pos=(tok.line, tok.col)), level
-        if name in FUNCTIONS:
-            self.expect_punct("(")
+        if kind == "number":
+            self.tok = next(self.tokens)
+            if text[-1] == "i":
+                return Literal(complex(0.0, float(text[:-1])), (line, column)), level
+            return Literal(complex(float(text), 0.0), (line, column)), level
+        if kind != "ident":
+            self.fail(f"expected an expression, found {_found(tok)}", tok, _EXPRESSION_START)
+        self.tok = next(self.tokens)
+        if text in FUNCTIONS:
+            self.expect("(")
             args, reach = (), level
-            if name != "norm2":
+            if text != "norm2":
                 arg, reach = self.parse_expression(self.nest(tok, level))
                 args = (arg,)
-            self.expect_punct(")")
-            return Call(name, args, pos=(tok.line, tok.col)), reach
-        var = _re.fullmatch(r"z([1-9][0-9]*)", name)
+            self.expect(")")
+            return Call(text, args, (line, column)), reach
+        var = _VAR(text)
         if var:
-            index = int(var.group(1))
+            index = int(var[1])
             if self.dimension and index > self.dimension:
                 message = f"variable z{index} out of range for dimension {self.dimension}"
-                raise UnknownIdentifier(message, tok.line, tok.col)
-            return Var(index, pos=(tok.line, tok.col)), level
+                raise UnknownIdentifier(message, line, column)
+            return Var(index, (line, column)), level
+        if text == "i":
+            return Literal(1j, (line, column)), level
+        if text == "mat":
+            self.expect("(")
+            name = self.tok
+            if name[0] != "ident":
+                self.fail("expected a matrix name", name, ("name",))
+            self.tok = next(self.tokens)
+            self.expect(")")
+            return MatApply(name[1], (line, column)), level
         expected = tuple(sorted(FUNCTIONS)) + ("mat", "i", "z<k>")
-        raise UnknownIdentifier(f"unknown identifier {name!r}", tok.line, tok.col, expected)
+        raise UnknownIdentifier(f"unknown identifier {text!r}", line, column, expected)
 
 
 def parse(source: str) -> TransformSpec:
@@ -335,40 +326,39 @@ def parse(source: str) -> TransformSpec:
     UnknownIdentifier for stray names or out-of-range variables, and
     DimensionMismatch when the assignments do not cover T1..Tn exactly.
     """
-    parser = _Parser(_tokenize(source))
-    head = parser.peek()
-    if head.kind != "ident" or head.text != "dim":
-        parser.fail("a transform file starts with 'dim <n>;'", head, expected=("dim",))
-    parser.advance()
-    dimension, dim_tok = parser.expect_int()
+    parser = _Parser(source)
+    if parser.tok[1] != "dim":
+        parser.fail("a transform file starts with 'dim <n>;'", parser.tok, ("dim",))
+    parser.tok = dim_tok = next(parser.tokens)
+    if dim_tok[0] != "number" or not dim_tok[1].isdigit():
+        parser.fail(f"expected an integer, found {_found(dim_tok)}", dim_tok, ("integer",))
+    parser.tok = next(parser.tokens)
+    dimension = int(dim_tok[1])
     if dimension < 1:
-        raise ParseError("dimension must be at least 1", dim_tok.line, dim_tok.col)
-    parser.expect_punct(";")
+        parser.fail("dimension must be at least 1", dim_tok)
+    parser.expect(";")
     parser.dimension = dimension
 
     outputs: dict[int, object] = {}
-    while parser.peek().kind != "eof":
-        tok = parser.peek()
-        target = _re.fullmatch(r"T([1-9][0-9]*)", tok.text) if tok.kind == "ident" else None
+    while (tok := parser.tok)[0] != "eof":
+        target = _TARGET(tok[1])
         if target is None:
-            found = f"found {tok.text!r}"
+            found = f"found {tok[1]!r}"
             parser.fail(f"expected an output assignment 'T<k> = ...;', {found}", tok, ("T<k>",))
-        index = int(target.group(1))
+        index = int(target[1])
         if index > dimension:
             raise DimensionMismatch(f"output T{index} out of range for dimension {dimension}")
         if index in outputs:
-            raise ParseError(f"output T{index} assigned twice", tok.line, tok.col)
-        parser.advance()
-        parser.expect_punct("=")
+            parser.fail(f"output T{index} assigned twice", tok)
+        parser.tok = next(parser.tokens)
+        parser.expect("=")
         outputs[index] = parser.parse_expression()[0]
-        parser.expect_punct(";")
+        parser.expect(";")
 
-    if set(outputs) != set(range(1, dimension + 1)):
-        missing = sorted(set(range(1, dimension + 1)) - set(outputs))
-        raise DimensionMismatch(
-            f"{len(outputs)} outputs for dimension {dimension}"
-            + (f" (missing T{missing[0]})" if missing else "")
-        )
+    missing = [k for k in range(1, dimension + 1) if k not in outputs]  # none past n, none twice
+    if missing:
+        message = f"{len(outputs)} outputs for dimension {dimension} (missing T{missing[0]})"
+        raise DimensionMismatch(message)
     return TransformSpec(dimension, tuple(outputs[k] for k in range(1, dimension + 1)))
 
 
@@ -504,11 +494,11 @@ def parse_constant(text: str) -> complex:
     Used for inline point components on the command line, e.g. '1+2i' or
     '-0.5i*2'.
     """
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     node = parser.parse_expression()[0]
-    tail = parser.peek()
-    if tail.kind != "eof":
-        raise ParseError(f"trailing input {tail.text!r}", tail.line, tail.col)
+    kind, tail, line, column = parser.tok
+    if kind != "eof":
+        raise ParseError(f"trailing input {tail!r}", line, column)
     for sub in walk(node):
         if isinstance(sub, (Var, MatApply)) or getattr(sub, "func", "") == "norm2":
             raise ParseError("constant expressions cannot reference the state", *sub.pos)

@@ -39,6 +39,7 @@ _INTEGER_RANGES = {
     "num_pairs": (1, MAX_SAMPLES),
     "seed": (0, math.inf),
     "n": (1, math.inf),  # a dimension
+    "extent": (0, math.inf),  # of a batch axis
     "degree": (0, MAX_DRESSING_DEGREE),  # of a dressing phase
     "dressing_degree": (0, MAX_DRESSING_DEGREE),
     "levels": (0, 4),  # Richardson levels

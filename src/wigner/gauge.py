@@ -41,7 +41,7 @@ from .errors import (
     SchemaError,
     require_settings,
 )
-from .states import Transformation, as_state, random_state
+from .states import Transformation, as_array, as_state, random_state
 
 PROBE_SCALE = 1e-4
 DEGENERATE_TOL = 1e-8
@@ -149,18 +149,19 @@ def origin_phase(
     already holds their four images (shape (4, n), in that order); at z = 0
     nothing is evaluated and the phase is 0.
 
-    Checks run in this order, before anything is evaluated:
-    DimensionMismatch unless `z` is one point of width n (a scalar counts
-    at n = 1); NonFiniteEvaluation for a non-finite component, or when
-    |z|^2 overflows (|z| above about 1e154); DegeneratePair when the
-    smallest probe overlap eps/4 * |z|^2 of a nonzero z falls below the
-    smallest normal float (|z| below about 3e-152), where the overlaps
-    have lost their digits; DimensionMismatch unless a given `images` has
-    shape (4, n). Reading the phases raises NotProbabilityPreserving when
-    a probe overlap modulus is not preserved, a NaN overlap included.
+    Checks run in this order, before anything is evaluated: SchemaError
+    unless `z` is numeric; DimensionMismatch unless it is one point of width
+    n (a scalar counts at n = 1); NonFiniteEvaluation for a non-finite
+    component, or when |z|^2 overflows (|z| above about 1e154);
+    DegeneratePair when the smallest probe overlap eps/4 * |z|^2 of a
+    nonzero z falls below the smallest normal float (|z| below about
+    3e-152), where the overlaps have lost their digits; DimensionMismatch
+    unless a given `images` has shape (4, n). Reading the phases raises
+    NotProbabilityPreserving when a probe overlap modulus is not preserved,
+    a NaN overlap included.
     """
     n = transform.dimension
-    z = np.asarray(z, dtype=np.complex128)
+    z = as_array(z, "point")
     if z.shape != (n,):
         z = as_state(z, n)
     denom_base = float(np.vdot(z, z).real)  # eps * |z|^2 is the probe overlap

@@ -13,8 +13,9 @@ def as_array(value, what: str, dtype=np.complex128) -> np.ndarray:
     """`value` as an array of `dtype`; SchemaError, naming `what`, unless it is numeric."""
     try:
         return np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError):  # numpy's words for "not a number"
-        raise SchemaError(f"{what} must be numeric, got {type(value).__name__}") from None
+    except (TypeError, ValueError, OverflowError) as exc:  # numpy's words for "not a number"
+        kind = "within float range" if isinstance(exc, OverflowError) else "numeric"
+        raise SchemaError(f"{what} must be {kind}, got {type(value).__name__}") from None
 
 
 def as_state(z, dim: int | None = None, dtype=np.complex128) -> np.ndarray:
@@ -43,8 +44,13 @@ def random_state(dim: int, rng: np.random.Generator, shape: tuple = ()) -> np.nd
     """Standard complex Gaussian vectors (each component CN(0, 1)) of shape
     `shape + (dim,)`, from one draw that takes the real, then the imaginary
     parts of each vector in turn: bit for bit one call per vector.
-    SchemaError unless `dim` is an integer of 1 or more."""
+    SchemaError unless `dim` is an integer of 1 or more and `shape` a tuple
+    of non-negative integers."""
     require_settings({"n": dim}, lambda name: "dim")
+    if not isinstance(shape, tuple):
+        raise SchemaError(f"shape must be a tuple, got {type(shape).__name__}")
+    for extent in shape:
+        require_settings({"extent": extent}, lambda name: "shape entry")
     draw = rng.standard_normal((*shape, 2, dim))
     # filled in place: `(re + 1j * im) / sqrt(2)` would hold two more such arrays
     z = draw[..., 0, :].astype(np.complex128)
@@ -60,15 +66,16 @@ class Transformation:
     A call takes one point of shape (n,) or a batch of m points of shape
     (m, n) and returns images of the same shape. Points and images are
     arrays of the class attribute `dtype`, complex128 here; a subclass
-    for a real space sets float64. Every call coerces the points and the
-    evaluator's result to `dtype` and checks their width, shape and
-    finiteness. With `vectorized` set the evaluator receives the batch
-    whole and must map each row (the last axis) on its own; otherwise it
-    is called once per row, so a per-point evaluator such as
-    `lambda z: u @ z` stays correct on a batch. The evaluator must be
-    deterministic and safe to call from several threads at once.
-    `ground_truth` is generator bookkeeping (the kind and matrix an
-    instance was built from); analysis code never reads it.
+    for a real space sets float64. Every call coerces the points (a point
+    that is not numeric is a SchemaError) and the evaluator's result to
+    `dtype`, and checks their width, shape and finiteness; an overflow in
+    the evaluator is refused as non-finite, unwarned. With `vectorized`
+    set the evaluator receives the batch whole and must map each row (the
+    last axis) on its own; otherwise it is called once per row, so a
+    per-point evaluator such as `lambda z: u @ z` stays correct on a
+    batch. The evaluator must be deterministic and safe to call from
+    several threads at once. `ground_truth` is generator bookkeeping (the
+    kind and matrix an instance was built from) that analysis never reads.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -85,7 +92,7 @@ class Transformation:
         require_settings({"n": self.dimension}, lambda name: "dimension")
 
     def __call__(self, z) -> np.ndarray:
-        zv = np.asarray(z, dtype=self.dtype)
+        zv = as_array(z, "point", self.dtype)
         if zv.ndim == 0:
             zv = zv.reshape(1)
         if zv.ndim > 2 or zv.shape[-1] != self.dimension:
@@ -94,14 +101,15 @@ class Transformation:
             )
         if not np.isfinite(zv).all():
             raise NonFiniteEvaluation("state vector has non-finite components")
-        if zv.ndim == 1 or self.vectorized:
-            out = np.asarray(self.evaluator(zv), dtype=self.dtype)
-        else:
-            out = np.empty_like(zv)
-            for k, row in enumerate(zv):
-                image = np.asarray(self.evaluator(row), dtype=self.dtype)
-                _check_shape(image, row.shape)
-                out[k] = image
+        with np.errstate(all="ignore"):  # an overflow is refused below, as non-finite
+            if zv.ndim == 1 or self.vectorized:
+                out = np.asarray(self.evaluator(zv), dtype=self.dtype)
+            else:
+                out = np.empty_like(zv)
+                for k, row in enumerate(zv):
+                    image = np.asarray(self.evaluator(row), dtype=self.dtype)
+                    _check_shape(image, row.shape)
+                    out[k] = image
         _check_shape(out, zv.shape)
         if not np.isfinite(out).all():
             raise NonFiniteEvaluation("evaluator returned non-finite components")

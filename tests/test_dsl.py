@@ -305,3 +305,123 @@ def test_non_finite_matrix_is_schema_error():
     for bad in (np.nan, np.inf):
         with pytest.raises(SchemaError, match="'U'"):
             dsl.compile_to_transformation(spec, {"U": np.array([[bad]])})
+
+
+EXPRESSION = ("number", "identifier", "(", "-")
+IDENTIFIERS = tuple(sorted(dsl.FUNCTIONS)) + ("mat", "i", "z<k>")
+
+# (source, error class, message, line, column, expected-set); each entry
+# was recorded from the parser it pins, message without its "line:col: "
+MALFORMED = {
+    "bad_character_before_syntax_error": (
+        "dim 1;\nT1 = $ z1 + ;\n", ParseError, "unexpected character '$'", 2, 6, ()
+    ),
+    "bad_character_after_syntax_error": (
+        "dim 1;\nT1 = z1 + ; $\n", ParseError, "expected an expression, found ';'", 2, 11, EXPRESSION
+    ),
+    "non_ascii_digit_after_variable_name": (
+        "dim 1;\nT1 = z٣;\n", UnknownIdentifier, "unknown identifier 'z'", 2, 6, IDENTIFIERS
+    ),
+    "missing_final_semicolon": (
+        "dim 1;\nT1 = z1", ParseError, "expected ';', found end of input", 2, 1, (";",)
+    ),
+    "missing_semicolon_before_comment": (
+        "dim 1;\nT1 = z1\n# $ trailing\n", ParseError, "expected ';', found end of input", 4, 1, (";",)
+    ),
+    "empty_source": (
+        "", ParseError, "a transform file starts with 'dim <n>;'", 1, 1, ("dim",)
+    ),
+    "misspelt_dim": (
+        "# header\ndimm 1;", ParseError, "a transform file starts with 'dim <n>;'", 2, 1, ("dim",)
+    ),
+    "dim_zero": ("dim 0;", ParseError, "dimension must be at least 1", 1, 5, ()),
+    "dim_not_integer": (
+        "dim 1.5;", ParseError, "expected an integer, found '1.5'", 1, 5, ("integer",)
+    ),
+    "dim_without_semicolon": ("dim 2 T1 = z1;", ParseError, "expected ';', found 'T1'", 1, 7, (";",)),
+    "output_zero": (
+        "dim 2;\nT0 = z1;",
+        ParseError, "expected an output assignment 'T<k> = ...;', found 'T0'", 2, 1, ("T<k>",),
+    ),
+    "output_assigned_twice": (
+        "dim 2;\nT1 = z1;\nT1 = z2;", ParseError, "output T1 assigned twice", 3, 1, ()
+    ),
+    "matrix_name_missing": (
+        "dim 1;\nT1 = mat(3);", ParseError, "expected a matrix name", 2, 10, ("name",)
+    ),
+    "norm2_with_argument": (
+        "dim 1;\nT1 = norm2(z1);", ParseError, "expected ')', found 'z1'", 2, 12, (")",)
+    ),
+    "doubled_operator": (
+        "dim 1;\nT1 = z1 ** 2;", ParseError, "expected an expression, found '*'", 2, 10, EXPRESSION
+    ),
+    "carriage_return_and_tab": (
+        "dim 1;\r\nT1 =\tq;", UnknownIdentifier, "unknown identifier 'q'", 2, 6, IDENTIFIERS
+    ),
+    "line_separator_is_not_a_newline": (
+        "dim 1; T1 = z1 +\xa0 ;",
+        ParseError, "expected an expression, found ';'", 1, 19, EXPRESSION,
+    ),
+    "too_deep_calls": (
+        "dim 1;\nT1 = " + "sin(" * 150 + "z1" + ")" * 150 + ";",
+        ParseError, "expression nests deeper than 100 levels", 2, 402, (),
+    ),
+}
+
+
+@pytest.mark.parametrize("source, kind, message, line, column, expected", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_source_is_refused_exactly(source, kind, message, line, column, expected):
+    with pytest.raises(ParseError) as err:
+        dsl.parse(source)
+    assert type(err.value) is kind
+    assert str(err.value) == f"{line}:{column}: {message}"
+    assert (err.value.line, err.value.column, err.value.expected) == (line, column, expected)
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("dim 2;\nT1 = z1;\nT3 = z2;", "output T3 out of range for dimension 2"),
+        ("dim 2;\nT1 = z1;\n", "1 outputs for dimension 2 (missing T2)"),
+    ],
+)
+def test_output_set_mismatch_is_a_dimension_error(source, message):
+    with pytest.raises(DimensionMismatch) as err:
+        dsl.parse(source)
+    assert str(err.value) == message
+
+
+def test_comments_and_non_ascii_digits():
+    # a comment hides any character; a decimal digit of any script is a digit
+    spec = dsl.parse("dim ٣; # $ é @\nT1 = z1;\nT2 = z2;\nT3 = z3 * ٣; # ;;\n")
+    assert spec.dimension == 3
+    assert spec.outputs[2] == dsl.BinOp("*", dsl.Var(3), dsl.Literal(3 + 0j))
+
+
+CONSTANTS_MALFORMED = {
+    "1+2i)": ("trailing input ')'", 1, 5, ()),
+    "z1": ("constant expressions cannot reference the state", 1, 1, ()),
+    "1 + norm2()": ("constant expressions cannot reference the state", 1, 5, ()),
+    "2*mat(U)": ("constant expressions cannot reference the state", 1, 3, ()),
+    "": ("expected an expression, found end of input", 1, 1, EXPRESSION),
+    "2 $": ("unexpected character '$'", 1, 3, ()),
+    "2*(3": ("expected ')', found end of input", 1, 1, (")",)),
+}
+
+
+@pytest.mark.parametrize("text", CONSTANTS_MALFORMED, ids=repr)
+def test_malformed_constant_is_refused_exactly(text):
+    message, line, column, expected = CONSTANTS_MALFORMED[text]
+    with pytest.raises(ParseError) as err:
+        dsl.parse_constant(text)
+    assert type(err.value) is ParseError
+    assert str(err.value) == f"{line}:{column}: {message}"
+    assert (err.value.line, err.value.column, err.value.expected) == (line, column, expected)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("١+1", 2 + 0j), ("-i*2.5e-3", -0.0025j), ("\t(1 + 2i) * 2\xa0", 2 + 4j), ("1 # 2", 1 + 0j)],
+)
+def test_constant_values(text, value):
+    assert dsl.parse_constant(text) == value

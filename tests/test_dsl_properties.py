@@ -181,3 +181,94 @@ def test_jacobian_matches_forward_mode_oracle(case):
     tol = 1e-6 * max(1.0, scale, np.abs(d_z).max(), np.abs(d_zbar).max())
     assert np.abs(numeric.d_z - d_z).max() <= tol
     assert np.abs(numeric.d_zbar - d_zbar).max() <= tol
+
+
+# what may stand between two tokens: every kind of whitespace `str.isspace`
+# accepts (a line and a paragraph separator, NEL and the information
+# separators included, which start no new line), line breaks, blank lines
+# and comments holding characters that are refused outside one
+SEPARATORS = (
+    "", " ", "\t", "\r\n", "\xa0", "\u2028", "\u2029", "\x85", "\x1c", "\x0b\x0c",
+    "\n\n", " # $ é ٣ # ;\n", "#\n",
+)
+
+
+def print_tokens(node, tokens: list, owners: list) -> None:
+    """Append the tokens of format_expression(node) to `tokens`.
+
+    owners[i] becomes the index in `tokens` of the token that the i-th node
+    of walk(node) stands at: its first character for a literal, variable,
+    call or `mat`, its operator for a BinOp, its "-" for a Neg.
+    """
+    slot = len(owners)
+    owners.append(None)
+
+    def own(text):
+        owners[slot] = len(tokens)
+        tokens.append(text)
+
+    def operand(child, parenthesised):
+        tokens.extend("(" * parenthesised)
+        print_tokens(child, tokens, owners)
+        tokens.extend(")" * parenthesised)
+
+    if isinstance(node, dsl.BinOp):
+        operand(node.left, dsl._prec(node.left) < dsl._PRECEDENCE[node.op])
+        own(node.op)
+        operand(node.right, dsl._prec(node.right) <= dsl._PRECEDENCE[node.op])
+    elif isinstance(node, dsl.Neg):
+        own("-")
+        operand(node.operand, dsl._prec(node.operand) < 3)
+    elif isinstance(node, dsl.Call):
+        own(node.func)
+        tokens.append("(")
+        for arg in node.args:
+            print_tokens(arg, tokens, owners)
+        tokens.append(")")
+    elif isinstance(node, dsl.MatApply):
+        own("mat")
+        tokens.extend(["(", node.name, ")"])
+    else:
+        own(dsl.format_expression(node))  # one NUMBER, "i" or VAR token
+
+
+def joins(left: str, right: str) -> bool:
+    """True when the two tokens would lex as one if written without a gap."""
+    return all(c.isalnum() or c == "_" for c in (left[-1], right[0]))
+
+
+@st.composite
+def spaced_sources(draw):
+    """(source, outputs, positions): a random spec printed with random gaps,
+    and the (line, column) of each node's token in walk order, output by output."""
+    n = draw(st.sampled_from(sorted(TREES)))
+    outputs = tuple(draw(TREES[n]) for _ in range(n))
+    tokens, owners = ["dim", str(n), ";"], []
+    for k, tree in enumerate(outputs, start=1):
+        tokens += [f"T{k}", "="]
+        print_tokens(tree, tokens, owners)
+        tokens.append(";")
+    gaps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    source, offsets = gaps[0], []
+    for i, token in enumerate(tokens):
+        offsets.append(len(source))
+        source += token
+        gap = gaps[i + 1]
+        if not gap and i + 1 < len(tokens) and joins(token, tokens[i + 1]):
+            gap = " "
+        source += gap
+    positions = []
+    for owner in owners:
+        offset = offsets[owner]
+        line_start = source.rfind("\n", 0, offset) + 1
+        positions.append((source.count("\n", 0, offset) + 1, offset - line_start + 1))
+    return source, outputs, positions
+
+
+@PROPERTY_SETTINGS
+@given(spaced_sources())
+def test_positions_point_at_each_nodes_token(case):
+    source, outputs, positions = case
+    spec = dsl.parse(source)
+    assert spec.outputs == outputs
+    assert [node.pos for out in spec.outputs for node in dsl.walk(out)] == positions

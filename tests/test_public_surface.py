@@ -59,6 +59,25 @@ setting_values = st.one_of(
 )
 
 
+# anything a caller might hand over as a point: numbers and arrays of any
+# shape, numbers past every float, and values that are not numbers at all
+point_entries = st.one_of(
+    st.complex_numbers(),  # NaN and the infinities included
+    st.floats(),
+    st.integers(-(10**400), 10**400),
+    st.text(max_size=2),
+    st.none(),
+)
+points = st.one_of(
+    point_entries,
+    st.binary(max_size=2),
+    st.builds(object),
+    st.lists(point_entries, max_size=9),
+    st.lists(st.lists(st.complex_numbers(max_magnitude=2.0), max_size=3), max_size=3),  # ragged or a batch
+    st.dictionaries(st.text(max_size=1), st.integers(), max_size=2),
+)
+
+
 @st.composite
 def maps(draw):
     """A generated symmetry, an adversary or a compiled random spec."""
@@ -121,6 +140,16 @@ def test_any_settings_give_a_result_or_a_typed_error(transform, values):
         assert result.branch in (wg.LINEAR, wg.ANTILINEAR)
 
 
+@SURFACE_SETTINGS
+@given(maps(), points)
+def test_any_point_gives_an_image_or_a_typed_error(transform, point):
+    for call in (transform, lambda z: wg.origin_phase(transform, z)):
+        try:
+            call(point)
+        except WignerError as exc:
+            assert_typed(exc)
+
+
 REFUSED = {
     "check_preservation-tol-nan": lambda t, r: wg.check_preservation(t, 5, 0, math.nan),
     "check_preservation-seed--1": lambda t, r: wg.check_preservation(t, 5, -1, 1e-8),
@@ -169,6 +198,10 @@ REFUSED = {
     "gauge_fix-preserve_tol-nan": lambda t, r: wg.gauge_fix(t, preserve_tol=math.nan),
     "Transformation-dimension-str": lambda t, r: wg.Transformation(t.evaluator, "2"),
     "random_state-dim-str": lambda t, r: wg.random_state("a", np.random.default_rng(0)),
+    "random_state-shape-str": lambda t, r: wg.random_state(2, np.random.default_rng(0), "x"),
+    "random_state-shape-list": lambda t, r: wg.random_state(2, np.random.default_rng(0), [2]),
+    "random_state-shape--1": lambda t, r: wg.random_state(2, np.random.default_rng(0), (2, -1)),
+    "random_state-shape-float": lambda t, r: wg.random_state(2, np.random.default_rng(0), (2.0,)),
     "as_state-str": lambda t, r: wg.as_state("ab"),
     "align_global_phase-str": lambda t, r: wg.align_global_phase("ab", "cd"),
 }
