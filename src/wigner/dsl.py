@@ -69,7 +69,7 @@ from .errors import (
     UnknownIdentifier,
     UnknownMatrix,
 )
-from .states import Transformation
+from .states import Transformation, as_array
 
 #: Each function's operation; norm2 takes no argument and reads the points.
 FUNCTIONS = {
@@ -440,7 +440,7 @@ def _program(trees, constants=None) -> tuple:
     for name in sorted(products):
         if name not in available:
             raise UnknownMatrix(f"matrix {name!r} not found in constants")
-        m = np.asarray(available[name], dtype=np.complex128)
+        m = as_array(available[name], f"matrix {name!r}")
         if m.shape != shape:
             raise DimensionMismatch(f"matrix {name!r} has shape {m.shape}, expected {shape}")
         if not np.isfinite(m).all():
@@ -576,10 +576,7 @@ def load_constants(path) -> dict[str, np.ndarray]:
         raise SchemaError("constants file must be a JSON object")
     constants = {}
     for name, rows in raw.items():
-        try:
-            arr = np.asarray(rows, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"matrix {name!r} is not numeric") from exc
+        arr = as_array(rows, f"matrix {name!r}", np.float64)
         if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
             raise SchemaError(
                 f"matrix {name!r} must be square with [re, im] entries, "

@@ -131,7 +131,7 @@ class NotOrthogonal(WignerError):
 
 
 class NotRealMap(WignerError):
-    """A map used in the real (Euclidean) analysis returned complex output."""
+    """A point, image or state of a real (Euclidean) map is complex beyond states.REAL_TOL."""
 
     exit_code = 1
 

@@ -1,4 +1,4 @@
-"""State vectors and evaluatable transformations on C^n."""
+"""State vectors and evaluatable transformations on C^n, fed only through `as_array`."""
 
 from dataclasses import dataclass
 from numbers import Integral
@@ -6,16 +6,30 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteEvaluation, SchemaError, require_settings
+from .errors import DimensionMismatch, NonFiniteEvaluation, NotRealMap, SchemaError, require_settings
+
+REAL_TOL = 1e-9  # largest imaginary part that a value for a real array may have
 
 
 def as_array(value, what: str, dtype=np.complex128) -> np.ndarray:
-    """`value` as an array of `dtype`; SchemaError, naming `what`, unless it is numeric."""
+    """`value` as an array of `dtype`. SchemaError, naming `what`, unless it is
+    numeric (no string or bytes value is, not even "1") and within float range;
+    for a real `dtype`, NotRealMap unless every |imaginary part| < REAL_TOL."""
+    arr, kind = None, "numeric"
     try:
-        return np.asarray(value, dtype=dtype)
+        arr = np.asarray(value)
+        if arr.dtype == dtype:
+            return arr
+        if arr.dtype.kind == "O" and not any(isinstance(v, (str, bytes)) for v in arr.flat):
+            arr = arr.astype(dtype)  # Python ints past int64; None reads as NaN
     except (TypeError, ValueError, OverflowError) as exc:  # numpy's words for "not a number"
         kind = "within float range" if isinstance(exc, OverflowError) else "numeric"
-        raise SchemaError(f"{what} must be {kind}, got {type(value).__name__}") from None
+    if arr is None or arr.dtype.kind not in "biufc":
+        raise SchemaError(f"{what} must be {kind}, got {type(value).__name__}")
+    if arr.dtype.kind == "c" and np.dtype(dtype).kind != "c":
+        NotRealMap.unless_below(np.abs(arr.imag).max(initial=0.0), REAL_TOL, f"|Im {what}| =")
+        arr = arr.real
+    return arr.astype(dtype, copy=False)
 
 
 def as_state(z, dim: int | None = None, dtype=np.complex128) -> np.ndarray:
@@ -65,17 +79,17 @@ class Transformation:
 
     A call takes one point of shape (n,) or a batch of m points of shape
     (m, n) and returns images of the same shape. Points and images are
-    arrays of the class attribute `dtype`, complex128 here; a subclass
-    for a real space sets float64. Every call coerces the points (a point
-    that is not numeric is a SchemaError) and the evaluator's result to
-    `dtype`, and checks their width, shape and finiteness; an overflow in
-    the evaluator is refused as non-finite, unwarned. With `vectorized`
-    set the evaluator receives the batch whole and must map each row (the
-    last axis) on its own; otherwise it is called once per row, so a
-    per-point evaluator such as `lambda z: u @ z` stays correct on a
-    batch. The evaluator must be deterministic and safe to call from
-    several threads at once. `ground_truth` is generator bookkeeping (the
-    kind and matrix an instance was built from) that analysis never reads.
+    arrays of the class attribute `dtype`, complex128 here; a subclass for
+    a real space sets float64. Every call passes the points and the
+    evaluator's result through `as_array`, and checks their width, shape
+    and finiteness; an overflow in the evaluator is refused, unwarned, as
+    non-finite. With `vectorized` set the evaluator receives the batch
+    whole and must map each row (the last axis) on its own; otherwise it
+    is called once per row, so a per-point evaluator such as
+    `lambda z: u @ z` stays correct on a batch. The evaluator must be
+    deterministic and safe to call from several threads at once.
+    `ground_truth` is generator bookkeeping (the kind and matrix an
+    instance was built from) that analysis never reads.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -103,11 +117,11 @@ class Transformation:
             raise NonFiniteEvaluation("state vector has non-finite components")
         with np.errstate(all="ignore"):  # an overflow is refused below, as non-finite
             if zv.ndim == 1 or self.vectorized:
-                out = np.asarray(self.evaluator(zv), dtype=self.dtype)
+                out = as_array(self.evaluator(zv), "image", self.dtype)
             else:
                 out = np.empty_like(zv)
                 for k, row in enumerate(zv):
-                    image = np.asarray(self.evaluator(row), dtype=self.dtype)
+                    image = as_array(self.evaluator(row), "image", self.dtype)
                     _check_shape(image, row.shape)
                     out[k] = image
         _check_shape(out, zv.shape)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import wigner as wg
-from wigner.errors import MAX_SAMPLES
+from wigner import dsl
+from wigner.errors import MAX_SAMPLES, SchemaError
 from wigner.cli import REPORT_SCHEMA, build_parser, main
 
 CONJUGATION = "dim 2;\nT1 = conj(z1);\nT2 = conj(z2);\n"
@@ -343,6 +344,38 @@ def test_non_finite_constant_is_schema_error(tmp_path, capsys, entry):
     assert code == 1
     assert report["error"] == "schema_error"
     assert "'U'" in report["detail"]
+
+
+def test_string_constant_entry_is_schema_error(tmp_path, capsys):
+    spec = write_spec(tmp_path, "dim 1;\nT1 = mat(U);\n")
+    constants = tmp_path / "constants.json"
+    constants.write_text('{"U": [[["1", 0]]]}')
+    code, report = run_json(["classify", "--spec", spec, "--constants", str(constants)], capsys)
+    assert code == 1
+    assert report["error"] == "schema_error"
+    assert report["detail"] == "matrix 'U' must be numeric, got list"
+
+
+def test_constant_entry_past_float_range_is_schema_error(tmp_path):
+    huge = 10**400
+    spec_text = "dim 1;\nT1 = mat(U);\n"
+    spec = write_spec(tmp_path, spec_text)
+    constants = tmp_path / "constants.json"
+    constants.write_text('{"U": [[[%d, 0]]]}' % huge)
+    with pytest.raises(SchemaError, match="matrix 'U' must be within float range"):
+        dsl.load_constants(constants)
+    with pytest.raises(SchemaError, match="matrix 'U' must be within float range"):
+        dsl.compile_to_transformation(dsl.parse(spec_text), {"U": [[huge]]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "wigner", "check", "--spec", spec, "--constants", str(constants),
+         "--no-timestamp"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["error"] == "schema_error"
 
 
 def test_missing_file_exit_1(tmp_path, capsys):

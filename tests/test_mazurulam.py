@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import wigner as wg
-from wigner.errors import NotIsometry, NotOrthogonal
+from wigner.errors import NotIsometry, NotOrthogonal, NotRealMap
 
 
 def rotation(angle):
@@ -103,3 +103,15 @@ def test_near_orthogonal_but_not_quite():
     transform = wg.RealTransformation(lambda u: q @ u, 3)
     with pytest.raises((NotIsometry, NotOrthogonal)):
         wg.reconstruct_orthogonal(transform, tol=1e-8)
+
+
+def test_complex_values_are_not_a_real_map():
+    o = wg.haar_orthogonal(3, 7)
+    transform = wg.RealTransformation(lambda u: u @ o.T + 1e-3j * u, 3, vectorized=True)
+    with pytest.raises(NotRealMap):
+        wg.reconstruct_orthogonal(transform)
+    # below REAL_TOL the imaginary part is roundoff, and the map is O
+    transform = wg.RealTransformation(lambda u: u @ o.T + 1e-13j * u, 3, vectorized=True)
+    assert np.abs(wg.reconstruct_orthogonal(transform).matrix - o).max() < 1e-9
+    with pytest.raises(NotRealMap):
+        transform(np.array([1.0, 1j, 0.0]))

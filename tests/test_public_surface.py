@@ -6,7 +6,9 @@ NaN, infinities and numbers past every bound) on generated symmetries,
 adversaries and random specs of the expression language. Each call must
 return a result or raise a `WignerError` whose exit code is the one the
 README's exit-code table gives for its report code: no other exception,
-and no warning (the suite turns warnings into errors).
+and no warning (the suite turns warnings into errors). So must a call of
+a complex or real map on any point, or with an evaluator that returns any
+value.
 
 Separately, a bad setting given to any public entry point is refused with
 `SchemaError` before the map is evaluated at all.
@@ -140,14 +142,51 @@ def test_any_settings_give_a_result_or_a_typed_error(transform, values):
         assert result.branch in (wg.LINEAR, wg.ANTILINEAR)
 
 
+@st.composite
+def real_maps(draw):
+    """An orthogonal map on R^n, or a complex map read as a real one, as
+    `wigner mazur-ulam` reads a compiled spec."""
+    if draw(st.booleans()):
+        n, vectorized = draw(st.integers(1, 8)), draw(st.booleans())
+        q = wg.haar_orthogonal(n, draw(st.integers(0, 2**16)))
+        return RealTransformation(lambda u: u @ q.T, n, vectorized=vectorized)
+    transform = draw(maps())
+    return RealTransformation(transform, transform.dimension, vectorized=True)
+
+
 @SURFACE_SETTINGS
-@given(maps(), points)
+@given(st.one_of(maps(), real_maps()), points)
 def test_any_point_gives_an_image_or_a_typed_error(transform, point):
     for call in (transform, lambda z: wg.origin_phase(transform, z)):
         try:
             call(point)
         except WignerError as exc:
             assert_typed(exc)
+
+
+def images(shape):
+    """Anything an evaluator might return for points of `shape`."""
+    return st.one_of(
+        points,
+        st.lists(st.complex_numbers(), min_size=shape[-1], max_size=shape[-1]).map(np.array),
+        st.builds(np.full, st.just(shape), st.complex_numbers(max_magnitude=2.0)),
+        st.sampled_from(["1", complex(1, math.nan), np.full(shape, 1 + 1e-12j)]),
+    )
+
+
+@SURFACE_SETTINGS
+@given(st.sampled_from((wg.Transformation, RealTransformation)), st.data())
+def test_any_image_gives_an_image_or_a_typed_error(kind, data):
+    n, vectorized = data.draw(st.integers(1, 3)), data.draw(st.booleans())
+    for shape in ((n,), (2, n)):
+        image = data.draw(images(shape if vectorized else (n,)))
+        transform = kind(lambda z: image, n, vectorized=vectorized)
+        try:
+            out = transform(np.ones(shape))
+        except WignerError as exc:
+            assert_typed(exc)
+        else:
+            assert out.shape == shape and out.dtype == kind.dtype and np.isfinite(out).all()
 
 
 REFUSED = {

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import wigner as wg
-from wigner.errors import DimensionMismatch, NonFiniteEvaluation
+from wigner.errors import DimensionMismatch, NonFiniteEvaluation, NotRealMap, SchemaError
+from wigner.states import REAL_TOL, as_array
 
 
 def test_as_state_coerces_and_validates():
@@ -17,6 +18,36 @@ def test_as_state_coerces_and_validates():
         wg.as_state(np.zeros((2, 2)))
     with pytest.raises(NonFiniteEvaluation):
         wg.as_state([np.nan, 0])
+
+
+@pytest.mark.parametrize(
+    "value, dtype, error, message",
+    [
+        ("1", np.complex128, SchemaError, "image must be numeric, got str"),
+        (b"1", np.float64, SchemaError, "image must be numeric, got bytes"),
+        ([10**30, "1"], np.complex128, SchemaError, "image must be numeric, got list"),
+        ([1, object()], np.float64, SchemaError, "image must be numeric, got list"),
+        ([[1], [1, 2]], np.complex128, SchemaError, "image must be numeric, got list"),
+        ([10**400], np.float64, SchemaError, "image must be within float range, got list"),
+        (10**400, np.complex128, SchemaError, "image must be within float range, got int"),
+        ([1, 1e-3j], np.float64, NotRealMap, "|Im image| = 0.001 exceeds 1e-09"),
+        (complex(1, np.nan), np.float64, NotRealMap, "|Im image| = nan exceeds 1e-09"),
+        (complex(1, np.inf), np.float64, NotRealMap, "|Im image| = inf exceeds 1e-09"),
+    ],
+)
+def test_as_array_refuses_what_is_not_a_number_of_its_dtype(value, dtype, error, message):
+    with pytest.raises(error) as refused:
+        as_array(value, "image", dtype)
+    assert str(refused.value) == message
+
+
+def test_as_array_keeps_the_value_of_a_number():
+    assert as_array([2**70], "point", np.float64).tolist() == [float(2**70)]
+    assert as_array([1, 2.5j], "point").tolist() == [1, 2.5j]
+    # an imaginary part below REAL_TOL is dropped, the real part kept bit for bit
+    assert as_array(np.array([0.1 + 0.5 * REAL_TOL * 1j]), "point", np.float64).tolist() == [0.1]
+    z = np.ones(3, dtype=np.complex128)
+    assert as_array(z, "point") is z
 
 
 def test_transformation_validates_dimension():
