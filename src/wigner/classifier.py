@@ -32,7 +32,7 @@ from .errors import (
     require_settings,
 )
 from .gauge import PRESERVE_TOL, gauge_fix
-from .states import Transformation, as_array, basis_state, random_state, zero_state
+from .states import Transformation, as_array, random_state, zero_state
 from .wirtinger import DEFAULT_STEP, WirtingerJacobian, richardson_refine, wirtinger_jacobian
 
 LINEAR = "linear"
@@ -151,24 +151,26 @@ def check_preservation(
 ) -> PreservationReport:
     """Sample | |<Tw|Tz>| - |<w|z>| | over forced special pairs, then random ones.
 
-    Specials always include the zero vector, every basis vector against a
-    fixed random anchor, an orthogonal pair, a parallel pair and a scaled
-    parallel pair; `num_pairs` (1..MAX_SAMPLES) standard complex Gaussian
-    pairs follow if all pass. Deterministic given `seed`; SchemaError for a bad setting.
+    The specials are the rows (w, z) of one zeroed (S, 2, n) array, filled
+    by slices with no loop over the basis, in this order: (0, a) for a
+    random anchor a; (e_k, a) for k = 1..n, from one identity matrix;
+    (e_1, e_2) when n >= 2; (p, p) and (p, 2.5 p) for a random p. Then
+    `num_pairs` (1..MAX_SAMPLES) standard complex Gaussian pairs follow if
+    all pass. Deterministic given `seed`; SchemaError for a bad setting.
     """
     require_settings({"num_pairs": num_pairs, "seed": seed, "tol": tol})
     n = transform.dimension
     rng = np.random.default_rng(seed)
     anchor, parallel = random_state(n, rng, (2,))
 
-    specials = [("zero", zero_state(n), anchor)]
-    specials += [("basis", basis_state(n, k), anchor) for k in range(n)]
+    labels = ["zero"] + ["basis"] * n + ["orthogonal"] * (n >= 2) + ["parallel", "parallel_scaled"]
+    points = np.zeros((len(labels), 2, n), dtype=np.complex128)
+    points[: n + 1, 1] = anchor
+    points[1 : n + 1, 0] = np.eye(n)
     if n >= 2:
-        specials.append(("orthogonal", basis_state(n, 0), basis_state(n, 1)))
-    specials.append(("parallel", parallel, parallel))
-    specials.append(("parallel_scaled", parallel, 2.5 * parallel))
-    labels = [label for label, _, _ in specials]
-    points = np.array([(w, z) for _, w, z in specials])
+        points[n + 1, :, :2] = np.eye(2)
+    points[-2:, 0] = parallel
+    points[-2:, 1] = parallel, 2.5 * parallel
     draw = lambda: random_state(n, rng, (num_pairs, 2))
     product = lambda w, z: np.abs(np.einsum("ij,ij->i", w.conj(), z))
     return sample_pairs(transform, labels, points, draw, product, tol)

@@ -9,19 +9,20 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteEvaluation, NotRealMap, SchemaError, require_settings
 
 REAL_TOL = 1e-9  # largest imaginary part that a value for a real array may have
+_NOT_NUMBERS = (str, bytes, type(None))  # numpy would read "1" as 1 and None as NaN
 
 
 def as_array(value, what: str, dtype=np.complex128) -> np.ndarray:
     """`value` as an array of `dtype`. SchemaError, naming `what`, unless it is
-    numeric (no string or bytes value is, not even "1") and within float range;
+    numeric (no string, bytes or None value is, not even "1") and within float range;
     for a real `dtype`, NotRealMap unless every |imaginary part| < REAL_TOL."""
     arr, kind = None, "numeric"
     try:
         arr = np.asarray(value)
         if arr.dtype == dtype:
             return arr
-        if arr.dtype.kind == "O" and not any(isinstance(v, (str, bytes)) for v in arr.flat):
-            arr = arr.astype(dtype)  # Python ints past int64; None reads as NaN
+        if arr.dtype.kind == "O" and not any(isinstance(v, _NOT_NUMBERS) for v in arr.flat):
+            arr = arr.astype(np.complex128)  # Python ints past int64, complex values
     except (TypeError, ValueError, OverflowError) as exc:  # numpy's words for "not a number"
         kind = "within float range" if isinstance(exc, OverflowError) else "numeric"
     if arr is None or arr.dtype.kind not in "biufc":

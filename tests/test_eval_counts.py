@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 import wigner as wg
-from wigner import dsl
+from wigner import classifier, dsl
 from wigner.cli import main
 from wigner.errors import NotASymmetry
+from wigner.gauge import PRESERVE_TOL
 
 CORPUS = Path(__file__).parent / "corpus"
 # the shape of the benchmark's dressed specs: exp(i alpha(z)) U z, alpha
@@ -77,6 +78,27 @@ def test_classify_scaling_rejected():
     # parallel); the failed specials stop the check before the 50 random
     # pairs, whose 100 points the pin counted too at 116
     assert points[0] == 16
+
+
+def test_classify_scaling_rejected_at_the_dimension_cap():
+    transform = wg.make_adversary("scaling", classifier.DIMENSION_CAP, 1)
+    points = count_points(transform)
+    with pytest.raises(NotASymmetry):
+        wg.classify(transform)
+    # 136 = 2 x (1 zero + 64 basis + 1 orthogonal + 2 parallel), all the
+    # specials in 1 call; the failed specials stop the check there
+    assert points == [136, 1]
+
+
+def test_check_preservation_n1_has_no_orthogonal_pair():
+    transform = wg.make_adversary("scaling", 1, 1)
+    points = count_points(transform)
+    report = wg.check_preservation(transform, 50, 0, PRESERVE_TOL)
+    assert not report.passed
+    assert report.labels == ["zero", "basis", "parallel", "parallel_scaled"]
+    # 8 = 2 x (1 zero + 1 basis + 2 parallel) in 1 call: C^1 holds no
+    # orthogonal pair of basis vectors
+    assert points == [8, 1]
 
 
 def test_reconstruct_orthogonal_n4():

@@ -33,6 +33,9 @@ def test_as_state_coerces_and_validates():
         ([1, 1e-3j], np.float64, NotRealMap, "|Im image| = 0.001 exceeds 1e-09"),
         (complex(1, np.nan), np.float64, NotRealMap, "|Im image| = nan exceeds 1e-09"),
         (complex(1, np.inf), np.float64, NotRealMap, "|Im image| = inf exceeds 1e-09"),
+        (None, np.complex128, SchemaError, "image must be numeric, got NoneType"),
+        ([None, 1], np.float64, SchemaError, "image must be numeric, got list"),
+        ([2**70, 1j], np.float64, NotRealMap, "|Im image| = 1 exceeds 1e-09"),
     ],
 )
 def test_as_array_refuses_what_is_not_a_number_of_its_dtype(value, dtype, error, message):
