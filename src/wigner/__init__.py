@@ -34,7 +34,6 @@ from .dsl import (
 )
 from .gauge import (
     GaugeFixedTransformation,
-    PhaseSample,
     angle_distance,
     extract_theta,
     gauge_fix,
@@ -58,7 +57,7 @@ from .mazurulam import (
     check_isometry,
     reconstruct_orthogonal,
 )
-from .states import Transformation, as_state, basis_state, random_state, zero_state
+from .states import Transformation, as_state, random_state, zero_state
 from .wirtinger import (
     AnalyticityReport,
     WirtingerJacobian,

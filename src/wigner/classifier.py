@@ -155,8 +155,11 @@ def check_preservation(
     by slices with no loop over the basis, in this order: (0, a) for a
     random anchor a; (e_k, a) for k = 1..n, from one identity matrix;
     (e_1, e_2) when n >= 2; (p, p) and (p, 2.5 p) for a random p. Then
-    `num_pairs` (1..MAX_SAMPLES) standard complex Gaussian pairs follow if
-    all pass. Deterministic given `seed`; SchemaError for a bad setting.
+    `num_pairs` (1..MAX_SAMPLES) random pairs follow if all pass: standard
+    complex Gaussian directions, each vector scaled in place to a radius
+    10^U(-2, 2) drawn after them, so that the deviation is sampled at every
+    scale from 1e-2 to 1e2. Deterministic given `seed`; SchemaError for a
+    bad setting.
     """
     require_settings({"num_pairs": num_pairs, "seed": seed, "tol": tol})
     n = transform.dimension
@@ -171,7 +174,14 @@ def check_preservation(
         points[n + 1, :, :2] = np.eye(2)
     points[-2:, 0] = parallel
     points[-2:, 1] = parallel, 2.5 * parallel
-    draw = lambda: random_state(n, rng, (num_pairs, 2))
+
+    def draw():
+        pairs = random_state(n, rng, (num_pairs, 2))
+        radii = 10.0 ** rng.uniform(-2.0, 2.0, (num_pairs, 2, 1))
+        reals = pairs.view(np.float64)  # |z|^2 without a complex temporary
+        pairs *= radii / np.sqrt(np.einsum("...k,...k->...", reals, reals))[..., None]
+        return pairs
+
     product = lambda w, z: np.abs(np.einsum("ij,ij->i", w.conj(), z))
     return sample_pairs(transform, labels, points, draw, product, tol)
 

@@ -158,21 +158,6 @@ class TransformSpec:
     dimension: int
     outputs: tuple
 
-    @property
-    def matrix_names(self) -> frozenset:
-        return frozenset(
-            node.name for out in self.outputs for node in walk(out)
-            if isinstance(node, MatApply)
-        )
-
-    @property
-    def uses_conjugation(self) -> bool:
-        """True when any node can couple to the conjugated input."""
-        return any(
-            isinstance(node, Call) and node.func in ("conj", "re", "im", "abs2", "norm2")
-            for out in self.outputs for node in walk(out)
-        )
-
 
 # ---------------------------------------------------------------------------
 # tokenizer

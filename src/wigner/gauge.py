@@ -1,15 +1,12 @@
 """Phase extraction and gauge fixing for modulus-preserving maps.
 
 For a map T that preserves |<w|z>| there is a real phase function theta
-relating transformed and original overlaps. Reading it off a pair:
+relating transformed and original overlaps, read off a pair as
 
-    branch A:  <Tw|Tz> = exp(i*theta) <w|z>
-    branch B:  <Tz|Tw> = exp(-i*theta) <w|z>
+    <Tw|Tz> = exp(i*theta) <w|z>
 
-Both readings are arguments of mutually conjugate numbers once the
-overlap is factored out, so theta_B = -theta_A identically; the branch
-tag on a sample is a label, not a verdict (the classifier decides the
-branch from Jacobian blocks after gauge fixing).
+on either branch (the classifier decides the branch from Jacobian blocks
+after gauge fixing).
 
 Gauge fixing multiplies T by a unimodular factor exp(i*alpha(z)) chosen
 so the residual phase against the origin vanishes: alpha(z) is minus the
@@ -28,7 +25,7 @@ All angles live in (-pi, pi]; comparisons are wrap-aware.
 import math
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,17 +80,6 @@ def require_origin_fixed(transform: Transformation) -> float:
     return OriginNotFixed.unless_below(origin, ORIGIN_TOL, "|T(0)| =")
 
 
-@dataclass(frozen=True)
-class PhaseSample:
-    """A measured theta(w, w*, z, z*) with the branch reading that produced it."""
-
-    w: np.ndarray = field(compare=False)
-    z: np.ndarray = field(compare=False)
-    theta: float = 0.0
-    branch: str = "A"
-    overlap_modulus: float = 0.0
-
-
 def _theta_from(numerator: complex, overlap: complex, preserve_tol: float) -> float:
     ratio = numerator / overlap
     # written so that a NaN ratio fails too
@@ -105,9 +91,9 @@ def _theta_from(numerator: complex, overlap: complex, preserve_tol: float) -> fl
 
 
 def extract_theta(
-    transform: Transformation, w, z, branch: str = "A", preserve_tol: float = PRESERVE_TOL
-) -> PhaseSample:
-    """Measure the relative phase of a non-orthogonal pair under `transform`.
+    transform: Transformation, w, z, preserve_tol: float = PRESERVE_TOL
+) -> float:
+    """theta(w, z) of a non-orthogonal pair: <Tw|Tz> = exp(i*theta) <w|z>.
 
     Raises DegeneratePair when |<w|z>| <= DEGENERATE_TOL * |w| * |z| (the
     phase of a vanishing overlap is meaningless) and
@@ -124,17 +110,7 @@ def extract_theta(
             f"|<w|z>| = {abs(overlap):.3g} at or below threshold {bound:.3g}"
         )
     tw, tz = transform(np.stack([w, z]))
-    if branch == "A":
-        theta = _theta_from(complex(np.vdot(tw, tz)), overlap, preserve_tol)
-    elif branch == "B":
-        theta = _theta_from(
-            complex(np.vdot(tz, tw)), complex(np.vdot(z, w)), preserve_tol
-        )
-    else:
-        raise SchemaError(f"branch must be 'A' or 'B', got {branch!r}")
-    return PhaseSample(
-        w=w, z=z, theta=theta, branch=branch, overlap_modulus=abs(overlap)
-    )
+    return _theta_from(complex(np.vdot(tw, tz)), overlap, preserve_tol)
 
 
 def origin_phase(
@@ -306,8 +282,8 @@ def verify_theta_antisymmetry(
     require_settings({"tol": tol})
     deviations = []
     for w, z in pairs:
-        forward = extract_theta(transform, w, z, preserve_tol=preserve_tol).theta
-        backward = extract_theta(transform, z, w, preserve_tol=preserve_tol).theta
+        forward = extract_theta(transform, w, z, preserve_tol=preserve_tol)
+        backward = extract_theta(transform, z, w, preserve_tol=preserve_tol)
         deviations.append(angle_distance(forward, -backward))
     worst = max(deviations)
     return AntisymmetryReport(

@@ -60,7 +60,6 @@ class DressingSpec:
     degree: int
     directions: np.ndarray  # (DRESSING_RIDGES, 2n), unit rows
     coefficients: np.ndarray  # (DRESSING_RIDGES, degree + 1), ascending powers
-    seed: int
 
     @classmethod
     def random(cls, n: int, degree: int, seed: int) -> "DressingSpec":
@@ -70,7 +69,7 @@ class DressingSpec:
         norms = np.linalg.norm(directions, axis=1, keepdims=True)
         directions = directions / np.where(norms < 1e-12, 1.0, norms)
         coefficients = rng.uniform(-1.0, 1.0, size=(DRESSING_RIDGES, degree + 1))
-        return cls(degree=degree, directions=directions, coefficients=coefficients, seed=seed)
+        return cls(degree=degree, directions=directions, coefficients=coefficients)
 
     def __call__(self, z: np.ndarray):
         """alpha at a point (a float) or at each row of an (m, n) batch."""

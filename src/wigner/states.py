@@ -49,12 +49,6 @@ def zero_state(dim: int) -> np.ndarray:
     return np.zeros(dim, dtype=np.complex128)
 
 
-def basis_state(dim: int, index: int) -> np.ndarray:
-    e = np.zeros(dim, dtype=np.complex128)
-    e[index] = 1.0
-    return e
-
-
 def random_state(dim: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
     """Standard complex Gaussian vectors (each component CN(0, 1)) of shape
     `shape + (dim,)`, from one draw that takes the real, then the imaginary

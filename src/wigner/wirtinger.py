@@ -39,10 +39,6 @@ class WirtingerJacobian:
     step: float
 
     @property
-    def dimension(self) -> int:
-        return self.d_z.shape[0]
-
-    @property
     def d_z_norm(self) -> float:
         """Max-norm of the d_z block."""
         return float(np.abs(self.d_z).max())

@@ -12,7 +12,8 @@ compiled evaluator; like it, a divisor of modulus below 1e-300 raises
 DivisionNearZero.
 
 `reference_preservation` and `reference_isometry` are the pair samplers
-written as a loop: one draw per vector, one record per pair, with
+written as a loop: one draw per vector (and one radius per random vector
+of `reference_preservation`), one record per pair, with
 `np.vdot` and `np.linalg.norm` on each pair. The array samplers must draw
 the same points and agree with them to roundoff.
 
@@ -100,10 +101,17 @@ def _forward(node, z, row, mats):
     return e, 1j * e * g, 1j * e * h
 
 
+def matrix_names(spec: TransformSpec) -> frozenset:
+    """The names of the matrices that `spec` applies."""
+    return frozenset(
+        node.name for out in spec.outputs for node in walk(out) if isinstance(node, MatApply)
+    )
+
+
 def _matrices(spec: TransformSpec, constants) -> dict:
     return {
         name: np.asarray((constants or {})[name], dtype=complex)
-        for name in spec.matrix_names
+        for name in matrix_names(spec)
     }
 
 
@@ -180,10 +188,15 @@ def reference_preservation(transform, num_pairs, seed, tol):
         pairs.append(("orthogonal", basis[0], basis[1]))
     pairs.append(("parallel", parallel, parallel))
     pairs.append(("parallel_scaled", parallel, 2.5 * parallel))
-    pairs += [
-        ("random", _reference_state(n, rng), _reference_state(n, rng))
-        for _ in range(num_pairs)
-    ]
+    # Gaussian directions, then one radius 10^U(-2, 2) per vector; np.power
+    # runs the ufunc loop of `10.0 ** array`, where a Python `**` on a numpy
+    # scalar calls libm pow and may differ in the last bit
+    randoms = [_reference_state(n, rng) for _ in range(2 * num_pairs)]
+    for k, z in enumerate(randoms):
+        reals = z.view(np.float64)
+        radius = np.power(10.0, rng.uniform(-2.0, 2.0))
+        randoms[k] = z * (radius / np.sqrt(np.einsum("k,k->", reals, reals)))
+    pairs += [("random", w, z) for w, z in zip(randoms[0::2], randoms[1::2])]
     return _reference_pairs(transform, pairs, lambda a, b: abs(complex(np.vdot(a, b))), tol)
 
 

@@ -286,18 +286,23 @@ def test_preservation_headroom_at_the_dimension_cap(kind):
 
 
 # The detection floor of a near-symmetry against the default tol_preserve
-# of 1e-8: T = U (I + delta E_12) on C^3 deviates by 5.06 delta, at the
-# scaled parallel pair. A rejection lists the 7 special pairs (zero, three
-# basis, orthogonal, two parallel); an accept all 57.
+# of 1e-8: T = U (I + delta E_12) on C^3 deviates by 5.06 delta at the
+# scaled parallel pair, and by 278 delta at the worst of the 50 random pairs
+# of seed 0, whose radii 10^U(-2, 2) reach |w||z| = 2.6e3. A rejection at a
+# special pair lists the 7 special pairs (zero, three basis, orthogonal, two
+# parallel); a rejection at a random pair, or an accept, lists all 57. The
+# floor lies between 1e-11 and 1e-10.
 SHEAR_FLOOR = [
-    # delta, verdict, pairs listed
-    (1e-8, "not_a_symmetry", 7),
-    (1e-9, "linear", 57),
+    # delta, verdict, pairs listed, worst pair, its deviation / delta
+    (1e-8, "not_a_symmetry", 7, "parallel_scaled", 5.06),
+    (1e-9, "not_a_symmetry", 57, "random", 278),
+    (1e-10, "not_a_symmetry", 57, "random", 278),
+    (1e-11, "linear", 57, "random", 279),
 ]
 
 
-@pytest.mark.parametrize("delta, verdict, pairs", SHEAR_FLOOR)
-def test_shear_detection_floor_n3(delta, verdict, pairs):
+@pytest.mark.parametrize("delta, verdict, pairs, worst, ratio", SHEAR_FLOOR)
+def test_shear_detection_floor_n3(delta, verdict, pairs, worst, ratio):
     u = wg.haar_unitary(3, 0)
     shear = np.eye(3, dtype=complex)
     shear[0, 1] = delta
@@ -305,13 +310,30 @@ def test_shear_detection_floor_n3(delta, verdict, pairs):
     transform = wg.Transformation(lambda z: z @ matrix.T, 3, vectorized=True)
     report = wg.check_preservation(transform, 50, 0, wg.gauge.PRESERVE_TOL)
     assert report.pairs_tested == pairs
-    assert 5.0 * delta < report.max_deviation < 5.1 * delta
-    assert report.labels[int(report.columns[:, -1].argmax())] == "parallel_scaled"
+    assert 0.995 * ratio < report.max_deviation / delta < 1.005 * ratio
+    assert report.labels[int(report.columns[:, -1].argmax())] == worst
     if verdict == "not_a_symmetry":
         with pytest.raises(NotASymmetry):
             wg.classify(transform)
     else:
         result = wg.classify(transform)
         assert result.branch == verdict
-        # measured 7.6e-10: the shear itself, seen through the gauge
-        assert wg.align_global_phase(result.operator, u).aligned_residual < 1e-8
+        # measured 7.6e-12: the shear itself, seen through the gauge
+        assert wg.align_global_phase(result.operator, u).aligned_residual < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_radial_defect_past_radius_10_is_refused(n):
+    # T(z) = Uz (1 + 1e-6 max(0, |z|^2 - 100)^3) is U itself for |z| <= 10,
+    # which a standard Gaussian point (|z| about sqrt(n)) does not leave;
+    # the random radii of the preservation sample reach 1e2.
+    for seed in range(10):
+        u = wg.haar_unitary(n, seed)
+
+        def radial(z, u=u):
+            radius2 = (z.real**2 + z.imag**2).sum(axis=-1, keepdims=True)
+            return (z @ u.T) * (1.0 + 1e-6 * np.maximum(0.0, radius2 - 100.0) ** 3)
+
+        transform = wg.Transformation(radial, n, vectorized=True)
+        with pytest.raises(NotASymmetry):
+            wg.classify(transform, wg.ClassifyConfig(seed=seed))

@@ -15,7 +15,7 @@ import wigner as wg
 from wigner import dsl
 from wigner.errors import DivisionNearZero, NonFiniteEvaluation
 
-from oracles import jacobian_oracle, subterm_values, value_oracle
+from oracles import jacobian_oracle, matrix_names, subterm_values, value_oracle
 
 MATRIX_NAMES = ("A", "B")
 UNARY = tuple(name for name in dsl.FUNCTIONS if name != "norm2")
@@ -128,7 +128,7 @@ def test_batch_rows_equal_single_points(case):
     except DivisionNearZero:
         return  # some row divides by zero; the per-point check is the oracle test's
     single = np.concatenate([transform.evaluator(points[i : i + 1]) for i in range(len(points))])
-    if spec.matrix_names and spec.dimension > 1:
+    if matrix_names(spec) and spec.dimension > 1:
         # BLAS rounds a matrix product of one row (gemv) and of a batch (gemm)
         # differently; every other step is elementwise and must match exactly
         assert np.allclose(batch, single, rtol=1e-13, atol=0.0, equal_nan=True)

@@ -37,7 +37,7 @@ def test_wrap_angle_range():
 def test_exact_unitary_has_zero_theta():
     transform, _ = unitary_transform(3, 5)
     for w, z in random_pairs(3, 20, 1):
-        assert abs(wg.extract_theta(transform, w, z).theta) < 1e-10
+        assert abs(wg.extract_theta(transform, w, z)) < 1e-10
 
 
 def test_dressed_theta_is_alpha_difference():
@@ -46,29 +46,14 @@ def test_dressed_theta_is_alpha_difference():
     transform, _ = dressed_unitary(2, 3, lambda z: float(z[0].real))
     w = np.array([1.0, 1.0]) / math.sqrt(2)
     z = np.array([1.0, 0.0])
-    sample = wg.extract_theta(transform, w, z)
-    assert abs(sample.theta - (1.0 - math.sqrt(0.5))) < 1e-9
-    swapped = wg.extract_theta(transform, z, w)
-    assert abs(swapped.theta + (1.0 - math.sqrt(0.5))) < 1e-9
-
-
-def test_branch_readings_are_conjugate():
-    transforms = [
-        unitary_transform(3, 7)[0],
-        dressed_unitary(3, 8, lambda z: float(np.vdot(z, z).real))[0],
-        wg.make_symmetry("antilinear", wg.haar_unitary(3, 9)),
-    ]
-    for transform in transforms:
-        for w, z in random_pairs(3, 10, 4):
-            a = wg.extract_theta(transform, w, z, branch="A").theta
-            b = wg.extract_theta(transform, w, z, branch="B").theta
-            assert wg.angle_distance(a, -b) < 1e-12
+    assert abs(wg.extract_theta(transform, w, z) - (1.0 - math.sqrt(0.5))) < 1e-9
+    assert abs(wg.extract_theta(transform, z, w) + (1.0 - math.sqrt(0.5))) < 1e-9
 
 
 def test_orthogonal_pair_is_degenerate():
     transform, _ = unitary_transform(3, 11)
     with pytest.raises(DegeneratePair):
-        wg.extract_theta(transform, wg.basis_state(3, 0), wg.basis_state(3, 1))
+        wg.extract_theta(transform, *np.eye(3, dtype=complex)[:2])
 
 
 def test_scaling_is_not_preserving():

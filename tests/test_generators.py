@@ -77,11 +77,20 @@ def test_make_symmetry_rejects_a_nan_matrix():
 
 
 def test_dressed_symmetry_preserves_moduli():
-    dressing = wg.DressingSpec.random(3, 2, 13)
-    transform = wg.make_symmetry("linear", wg.haar_unitary(3, 5), dressing)
+    # Roundoff alone, proportional to |w||z|: each n-term overlap is off by
+    # at most about (n + 2) u |w||z| (u = eps / 2, Cauchy-Schwarz on the
+    # terms), and so is the overlap of the images, each of which carries a
+    # relative error about (n + 2) u from U z and the unimodular phase. So
+    # the deviation stays below 4 (n + 2) u |w||z| = 2 (n + 2) eps |w||z|.
+    # Measured: at most 2.9 eps |w||z| over 10 dressings and 5 seeds at
+    # n = 3; here 1.14e-12 at |w||z| up to 5.8e3.
+    n = 3
+    dressing = wg.DressingSpec.random(n, 2, 13)
+    transform = wg.make_symmetry("linear", wg.haar_unitary(n, 5), dressing)
     report = wg.check_preservation(transform, 100, seed=3, tol=1e-9)
     assert report.passed
-    assert report.max_deviation < 1e-12
+    norm_w, norm_z, _, deviation = report.columns.T
+    assert (deviation <= 2 * (n + 2) * np.finfo(float).eps * norm_w * norm_z).all()
 
 
 @pytest.mark.parametrize("kind", ADVERSARY_KINDS)
@@ -95,7 +104,7 @@ def test_adversaries_are_rejected_with_definite_errors(kind, seed):
 def test_rank_deficient_fails_on_mixed_pair():
     # orthogonal basis pair stays orthogonal, but (e1 + e2, e2) breaks
     transform = wg.make_adversary("rank_deficient", 2, 0)
-    e1, e2 = wg.basis_state(2, 0), wg.basis_state(2, 1)
+    e1, e2 = np.eye(2, dtype=complex)
     assert abs(np.vdot(transform(e1), transform(e2))) == 0.0
     lhs = abs(np.vdot(transform(e1 + e2), transform(e2)))
     rhs = abs(np.vdot(e1 + e2, e2))

@@ -69,9 +69,19 @@ def test_moved_origin_is_refused_at_the_origin_stage(n):
     with pytest.raises(OriginNotFixed) as real:
         wg.reconstruct_orthogonal(orthogonal_plus(n, lambda u1: 2e-9))
     assert str(real.value) == "|T(0)| = 2e-09 exceeds 1e-09"
+    # A constant offset 2e-9 e1 fails preservation at radius 1e2 (deviation
+    # 1e-7), so the complex witness confines it to a ball of radius about
+    # 1e-3: past radius 1e-2, the smallest a random pair reaches, it is
+    # below 2e-9 * exp(-100). The zero pair alone sees it, by 2e-9 |(Ua)_1|.
     u = wg.haar_unitary(n, 3)
     e1 = np.eye(n)[0]
-    moved = wg.Transformation(lambda z: z @ u.T + 2e-9 * e1, n, vectorized=True)
+
+    def moved_near_origin(z):
+        radius2 = (z.real**2 + z.imag**2).sum(axis=-1, keepdims=True)
+        return z @ u.T + 2e-9 * np.exp(-radius2 / 1e-6) * e1
+
+    moved = wg.Transformation(moved_near_origin, n, vectorized=True)
+    assert wg.check_preservation(moved, 50, 0, wg.gauge.PRESERVE_TOL).passed
     with pytest.raises(OriginNotFixed) as complex_:
         wg.classify(moved)
     assert str(complex_.value) == "|T(0)| = 2e-09 exceeds 1e-09"
