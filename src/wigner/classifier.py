@@ -156,10 +156,8 @@ def check_preservation(
     random anchor a; (e_k, a) for k = 1..n, from one identity matrix;
     (e_1, e_2) when n >= 2; (p, p) and (p, 2.5 p) for a random p. Then
     `num_pairs` (1..MAX_SAMPLES) random pairs follow if all pass: standard
-    complex Gaussian directions, each vector scaled in place to a radius
-    10^U(-2, 2) drawn after them, so that the deviation is sampled at every
-    scale from 1e-2 to 1e2. Deterministic given `seed`; SchemaError for a
-    bad setting.
+    complex Gaussian directions, scaled by `sample_pairs`. Deterministic
+    given `seed`; SchemaError for a bad setting.
     """
     require_settings({"num_pairs": num_pairs, "seed": seed, "tol": tol})
     n = transform.dimension
@@ -175,30 +173,33 @@ def check_preservation(
     points[-2:, 0] = parallel
     points[-2:, 1] = parallel, 2.5 * parallel
 
-    def draw():
-        pairs = random_state(n, rng, (num_pairs, 2))
-        radii = 10.0 ** rng.uniform(-2.0, 2.0, (num_pairs, 2, 1))
-        reals = pairs.view(np.float64)  # |z|^2 without a complex temporary
-        pairs *= radii / np.sqrt(np.einsum("...k,...k->...", reals, reals))[..., None]
-        return pairs
-
+    draw = lambda: random_state(n, rng, (num_pairs, 2))
     product = lambda w, z: np.abs(np.einsum("ij,ij->i", w.conj(), z))
-    return sample_pairs(transform, labels, points, draw, product, tol)
+    return sample_pairs(transform, labels, points, draw, rng, product, tol)
 
 
-def sample_pairs(transform, labels, specials, draw, product, tol: float) -> PreservationReport:
+def sample_pairs(
+    transform, labels, specials, draw, rng, product, tol: float
+) -> PreservationReport:
     """Deviation |product(Tw, Tz) - product(w, z)| of labelled pairs.
 
     The one sampler behind `check_preservation` (overlap moduli) and
     `mazurulam.check_isometry` (real scalar products). `specials` holds one
     (w, z) pair per label, shape (S, 2, n); `product` maps two (P, n) arrays
     to P values. One failing pair refutes the map, so only when every special
-    passes is `draw()` called for the (R, 2, n) pairs labelled "random",
-    scored as a second batch. Passes when the largest deviation is below `tol`.
+    passes is `draw()` called for the (R, 2, n) directions of the pairs
+    labelled "random". Each of their vectors is scaled in place to a radius
+    10^U(-2, 2) drawn from `rng` after them, so that the deviation is sampled
+    at every scale from 1e-2 to 1e2, and they are scored as a second batch.
+    Passes when the largest deviation is below `tol`.
     """
     columns = _score_pairs(transform, specials, product)
     if columns[:, -1].max() < tol:
-        columns = np.concatenate([columns, _score_pairs(transform, draw(), product)])
+        pairs = draw()
+        radii = 10.0 ** rng.uniform(-2.0, 2.0, (*pairs.shape[:-1], 1))
+        reals = pairs.view(np.float64)  # |z|^2 without a complex temporary
+        pairs *= radii / np.sqrt(np.einsum("...k,...k->...", reals, reals))[..., None]
+        columns = np.concatenate([columns, _score_pairs(transform, pairs, product)])
     labels = labels + ["random"] * (len(columns) - len(labels))
     worst = float(columns[:, -1].max())
     return PreservationReport(

@@ -37,7 +37,6 @@ import numpy as np
 from . import dsl
 from .classifier import (
     ClassifyConfig,
-    PairRecord,
     align_global_phase,
     check_preservation,
     classify,
@@ -81,6 +80,84 @@ _PRESERVATION_BLOCK = {
         "passed": {"type": "boolean"},
         "pairs": {"type": "array"},
     },
+    "additionalProperties": False,
+}
+
+
+def _checked(label: str, value: float, tol: float) -> str:
+    return f"{label} {value:.3g} " + ("[ok]" if value < tol else f"[EXCEEDS {tol:g}]")
+
+
+def _residual(name: str) -> Callable:
+    return lambda value, report: _checked(f"{name}:", value, report["config_echo"]["tol_unitary"])
+
+
+def _block(name: str) -> Callable:
+    return lambda block, _: _checked(
+        f"{name}: {block['pairs_tested']} pairs, max deviation",
+        block["max_deviation"],
+        block["tolerance"],
+    )
+
+
+def _matrix(name: str, cell: Callable) -> Callable:
+    return lambda rows, _: "\n".join(
+        [f"{name}:"] + ["  " + " ".join(map(cell, row)) for row in rows]
+    )
+
+
+_complex_cell = lambda pair: f"{f'{pair[0]:.6g}{pair[1]:+.6g}i':>22}"
+
+
+class _Field(NamedTuple):
+    """A report field: its JSON schema; its --format human text, as human(value,
+    report) (a str.format ignores the report), or None where that format omits
+    it; and whether the CSV scalar row has a column for it."""
+
+    schema: dict
+    human: Callable | None = None
+    csv: bool = False
+
+
+#: Every report field, in the order --format human prints them.
+_FIELDS = {
+    "config_echo": _Field({"type": "object"}, lambda echo, _: f"command: {echo['command']}"),
+    "verdict": _Field({"type": "string"}, "verdict: {}".format, csv=True),
+    "error": _Field({"type": "string"}, "error: {}".format, csv=True),
+    "detail": _Field({"type": "string"}, "detail: {}".format),
+    "branch": _Field({"enum": ["linear", "antilinear"]}, "branch: {}".format, csv=True),
+    "operator": _Field(_COMPLEX_MATRIX, _matrix("operator", _complex_cell)),
+    "operator_real": _Field(
+        {"type": "array", "items": {"type": "array", "items": _REAL}},
+        _matrix("operator", "{:>12.6g}".format),
+    ),
+    "unitarity_residual": _Field(_REAL, _residual("unitarity residual"), csv=True),
+    "reconstruction_residual": _Field(_REAL, _residual("reconstruction residual"), csv=True),
+    "orthogonality_residual": _Field(_REAL, _residual("orthogonality residual"), csv=True),
+    "preservation": _Field(_PRESERVATION_BLOCK, _block("preservation")),
+    "isometry": _Field(_PRESERVATION_BLOCK, _block("isometry")),
+    "d_zbar_max": _Field(_REAL, "max |d_zbar| entry: {:.3g}".format, csv=True),
+    "d_z": _Field(_COMPLEX_MATRIX, _matrix("d_z", _complex_cell)),
+    "d_zbar": _Field(_COMPLEX_MATRIX, _matrix("d_zbar", _complex_cell)),
+    "counts": _Field(
+        {"type": "object"},
+        "fuzz: {0[recovered]}/{0[symmetries]} symmetries recovered, {0[rejected]}/"
+        "{0[adversaries]} adversaries rejected, {0[caveat_n1]} n=1 caveats".format,
+    ),
+    "caveats": _Field(
+        {"type": "array", "items": {"type": "string"}},
+        lambda caveats, _: "caveats: " + ", ".join(caveats) if caveats else "",
+    ),
+    "timing_ms": _Field({"type": "number"}, "timing: {} ms".format),
+    "schema_version": _Field({"const": SCHEMA_VERSION}),
+    "origin_d_z_norm": _Field(_REAL),
+    "origin_d_zbar_norm": _Field(_REAL),
+    "smoothness": _Field({"type": "object"}),
+    "point": _Field({"type": "array", "items": _COMPLEX_PAIR}),
+    "step": _Field(_REAL),
+    "levels": _Field({"type": "integer"}),
+    "instances": _Field({"type": "array"}),
+    "generated_at": _Field({"type": "string"}),
 }
 
 #: JSON schema for every emitted report (validated in the test suite).
@@ -89,35 +166,8 @@ REPORT_SCHEMA = {
     "type": "object",
     "required": ["schema_version", "config_echo"],
     "oneOf": [{"required": ["verdict"]}, {"required": ["error"]}],
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "verdict": {"type": "string"},
-        "error": {"type": "string"},
-        "detail": {"type": "string"},
-        "branch": {"enum": ["linear", "antilinear"]},
-        "operator": _COMPLEX_MATRIX,
-        "operator_real": {"type": "array", "items": {"type": "array", "items": _REAL}},
-        "unitarity_residual": _REAL,
-        "reconstruction_residual": _REAL,
-        "orthogonality_residual": _REAL,
-        "origin_d_z_norm": _REAL,
-        "origin_d_zbar_norm": _REAL,
-        "smoothness": {"type": "object"},
-        "caveats": {"type": "array", "items": {"type": "string"}},
-        "preservation": _PRESERVATION_BLOCK,
-        "isometry": _PRESERVATION_BLOCK,
-        "d_z": _COMPLEX_MATRIX,
-        "d_zbar": _COMPLEX_MATRIX,
-        "d_zbar_max": _REAL,
-        "point": {"type": "array", "items": _COMPLEX_PAIR},
-        "step": _REAL,
-        "levels": {"type": "integer"},
-        "counts": {"type": "object"},
-        "instances": {"type": "array"},
-        "config_echo": {"type": "object"},
-        "timing_ms": {"type": "number"},
-        "generated_at": {"type": "string"},
-    },
+    "properties": {key: field.schema for key, field in _FIELDS.items()},
+    "additionalProperties": False,
 }
 
 
@@ -135,17 +185,9 @@ def _error_payload(exc: WignerError) -> tuple[int, dict]:
 
 
 def _preservation_payload(report, with_pairs: bool = False) -> dict:
-    block = {
-        "pairs_tested": report.pairs_tested,
-        "max_deviation": report.max_deviation,
-        "tolerance": report.tolerance,
-        "passed": report.passed,
-    }
+    block = {key: getattr(report, key) for key in _PRESERVATION_BLOCK["required"]}
     if with_pairs:
-        block["pairs"] = [
-            dict(zip(_PAIR_FIELDS, (label, *row)))
-            for label, row in zip(report.labels, report.columns.tolist())
-        ]
+        block["pairs"] = [vars(record) for record in report.records]
     return block
 
 
@@ -189,7 +231,6 @@ def _validate_settings(args) -> None:
 def _cmd_classify(args) -> tuple[int, dict]:
     transform = _load_transformation(args)
     result = classify(transform, _config_from_args(args))
-    smooth = result.smoothness
     payload = {
         "verdict": "symmetry",
         "branch": result.branch,
@@ -198,11 +239,7 @@ def _cmd_classify(args) -> tuple[int, dict]:
         "reconstruction_residual": result.reconstruction_residual,
         "origin_d_z_norm": result.origin_d_z_norm,
         "origin_d_zbar_norm": result.origin_d_zbar_norm,
-        "smoothness": {
-            "coarse_difference": smooth.coarse_difference,
-            "fine_difference": smooth.fine_difference,
-            "halving_ratio": smooth.halving_ratio,
-        },
+        "smoothness": dataclasses.asdict(result.smoothness),
         "preservation": _preservation_payload(result.preservation),
         "caveats": list(result.caveats),
     }
@@ -404,17 +441,6 @@ def _to_json(report: dict) -> str:
 _FUZZ_CSV_FIELDS = (
     "index", "kind", "n", "seed", "dressing_degree", "status", "branch", "residual", "error"
 )
-# the keys of each entry of `check`'s pair listing, in JSON and CSV
-_PAIR_FIELDS = tuple(f.name for f in dataclasses.fields(PairRecord))
-_CSV_SCALAR_FIELDS = (
-    "verdict",
-    "error",
-    "branch",
-    "unitarity_residual",
-    "reconstruction_residual",
-    "orthogonality_residual",
-    "d_zbar_max",
-)
 
 
 def _csv_listing(fields, rows) -> str:
@@ -431,7 +457,8 @@ def _to_csv(report: dict) -> str:
         # a report refused on its manifest has no instances
         return _csv_listing(_FUZZ_CSV_FIELDS, report.get("instances", []))
     if command == "check" and "preservation" in report:
-        return _csv_listing(_PAIR_FIELDS, report["preservation"]["pairs"])
+        pairs = report["preservation"]["pairs"]  # never empty: the specials come first
+        return _csv_listing(pairs[0].keys(), pairs)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     if command == "diff":
@@ -442,7 +469,7 @@ def _to_csv(report: dict) -> str:
             for c, (vz, vb) in enumerate(zip(row_z, row_b)):
                 writer.writerow([r, c, vz[0], vz[1], vb[0], vb[1]])
         return buffer.getvalue()
-    fields = [f for f in _CSV_SCALAR_FIELDS if f in report]
+    fields = [key for key, field in _FIELDS.items() if field.csv and key in report]
     block = report.get("preservation", report.get("isometry"))
     extras = ["pairs_tested", "max_deviation"] if block else []
     writer.writerow(fields + extras)
@@ -450,75 +477,13 @@ def _to_csv(report: dict) -> str:
     return buffer.getvalue()
 
 
-def _format_complex(pair) -> str:
-    return f"{pair[0]:.6g}{pair[1]:+.6g}i"
-
-
-def _human_matrix(rows, complex_entries: bool = True) -> list[str]:
-    lines = []
-    for row in rows:
-        if complex_entries:
-            cells = [f"{_format_complex(v):>22}" for v in row]
-        else:
-            cells = [f"{v:>12.6g}" for v in row]
-        lines.append("  " + " ".join(cells))
-    return lines
-
-
-def _flag(value: float, tol: float) -> str:
-    return "[ok]" if value < tol else f"[EXCEEDS {tol:g}]"
-
-
 def _to_human(report: dict) -> str:
-    echo = report["config_echo"]
-    lines = [f"command: {echo['command']}"]
-    if "error" in report:
-        lines.append(f"error: {report['error']}")
-        if "detail" in report:
-            lines.append(f"detail: {report['detail']}")
-    else:
-        lines.append(f"verdict: {report['verdict']}")
-    if "branch" in report:
-        lines.append(f"branch: {report['branch']}")
-    if "operator" in report:
-        lines.append("operator:")
-        lines += _human_matrix(report["operator"])
-    if "operator_real" in report:
-        lines.append("operator:")
-        lines += _human_matrix(report["operator_real"], complex_entries=False)
-    for key in ("unitarity_residual", "reconstruction_residual", "orthogonality_residual"):
-        if key in report:
-            lines.append(
-                f"{key.replace('_', ' ')}: {report[key]:.3g} "
-                + _flag(report[key], echo["tol_unitary"])
-            )
-    for key in ("preservation", "isometry"):
-        if key in report:
-            block = report[key]
-            lines.append(
-                f"{key}: {block['pairs_tested']} pairs, max deviation "
-                f"{block['max_deviation']:.3g} "
-                + ("[ok]" if block["passed"] else f"[EXCEEDS {block['tolerance']:g}]")
-            )
-    if "d_zbar_max" in report:
-        lines.append(f"max |d_zbar| entry: {report['d_zbar_max']:.3g}")
-    if "d_z" in report:
-        lines.append("d_z:")
-        lines += _human_matrix(report["d_z"])
-        lines.append("d_zbar:")
-        lines += _human_matrix(report["d_zbar"])
-    if "counts" in report:
-        counts = report["counts"]
-        lines.append(
-            f"fuzz: {counts['recovered']}/{counts['symmetries']} symmetries "
-            f"recovered, {counts['rejected']}/{counts['adversaries']} adversaries "
-            f"rejected, {counts['caveat_n1']} n=1 caveats"
-        )
-    if "caveats" in report and report["caveats"]:
-        lines.append("caveats: " + ", ".join(report["caveats"]))
-    if "timing_ms" in report:
-        lines.append(f"timing: {report['timing_ms']} ms")
-    return "\n".join(lines) + "\n"
+    lines = [
+        field.human(report[key], report)
+        for key, field in _FIELDS.items()
+        if field.human and key in report
+    ]
+    return "\n".join(filter(None, lines)) + "\n"
 
 
 def _emit(report: dict, args) -> None:

@@ -40,7 +40,8 @@ def check_isometry(
     seed: int = 0,
     tol: float = 1e-8,
 ) -> PreservationReport:
-    """Max of |T(u).T(v) - u.v| over 3 specials, then 1..MAX_SAMPLES seeded pairs."""
+    """Max of |T(u).T(v) - u.v| over 3 specials, then 1..MAX_SAMPLES seeded
+    pairs of Gaussian directions, scaled by `classifier.sample_pairs`."""
     require_settings({"num_pairs": num_pairs, "seed": seed, "tol": tol})
     n = transform.dimension
     rng = np.random.default_rng(seed)
@@ -49,7 +50,7 @@ def check_isometry(
     specials = np.array([(zero, zero), (zero, anchor), (anchor, anchor)])
     draw = lambda: rng.standard_normal((num_pairs, 2, n))
     product = lambda u, v: np.einsum("ij,ij->i", u, v)
-    return sample_pairs(transform, ["zero", "zero", "parallel"], specials, draw, product, tol)
+    return sample_pairs(transform, ["zero", "zero", "parallel"], specials, draw, rng, product, tol)
 
 
 def reconstruct_orthogonal(

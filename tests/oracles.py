@@ -12,8 +12,8 @@ compiled evaluator; like it, a divisor of modulus below 1e-300 raises
 DivisionNearZero.
 
 `reference_preservation` and `reference_isometry` are the pair samplers
-written as a loop: one draw per vector (and one radius per random vector
-of `reference_preservation`), one record per pair, with
+written as a loop: one draw per vector, then one radius per random vector,
+one record per pair, with
 `np.vdot` and `np.linalg.norm` on each pair. The array samplers must draw
 the same points and agree with them to roundoff.
 
@@ -175,6 +175,18 @@ def _reference_pairs(transform, pairs, product, tol):
     return records, max(r.deviation for r in records) < tol
 
 
+def _at_every_scale(directions, rng):
+    """Each direction scaled to one radius 10^U(-2, 2), drawn in turn after
+    them all. np.power runs the ufunc loop of `10.0 ** array`, where a Python
+    `**` on a numpy scalar calls libm pow and may differ in the last bit."""
+    scaled = []
+    for z in directions:
+        reals = z.view(np.float64)
+        radius = np.power(10.0, rng.uniform(-2.0, 2.0))
+        scaled.append(z * (radius / np.sqrt(np.einsum("k,k->", reals, reals))))
+    return scaled
+
+
 def reference_preservation(transform, num_pairs, seed, tol):
     """check_preservation, one pair at a time: (records, passed)."""
     n = transform.dimension
@@ -188,14 +200,7 @@ def reference_preservation(transform, num_pairs, seed, tol):
         pairs.append(("orthogonal", basis[0], basis[1]))
     pairs.append(("parallel", parallel, parallel))
     pairs.append(("parallel_scaled", parallel, 2.5 * parallel))
-    # Gaussian directions, then one radius 10^U(-2, 2) per vector; np.power
-    # runs the ufunc loop of `10.0 ** array`, where a Python `**` on a numpy
-    # scalar calls libm pow and may differ in the last bit
-    randoms = [_reference_state(n, rng) for _ in range(2 * num_pairs)]
-    for k, z in enumerate(randoms):
-        reals = z.view(np.float64)
-        radius = np.power(10.0, rng.uniform(-2.0, 2.0))
-        randoms[k] = z * (radius / np.sqrt(np.einsum("k,k->", reals, reals)))
+    randoms = _at_every_scale([_reference_state(n, rng) for _ in range(2 * num_pairs)], rng)
     pairs += [("random", w, z) for w, z in zip(randoms[0::2], randoms[1::2])]
     return _reference_pairs(transform, pairs, lambda a, b: abs(complex(np.vdot(a, b))), tol)
 
@@ -207,10 +212,8 @@ def reference_isometry(transform, num_pairs, seed, tol):
     anchor = rng.standard_normal(n)
     zero = np.zeros(n)
     pairs = [("zero", zero, zero), ("zero", zero, anchor), ("parallel", anchor, anchor)]
-    pairs += [
-        ("random", rng.standard_normal(n), rng.standard_normal(n))
-        for _ in range(num_pairs)
-    ]
+    randoms = _at_every_scale([rng.standard_normal(n) for _ in range(2 * num_pairs)], rng)
+    pairs += [("random", u, v) for u, v in zip(randoms[0::2], randoms[1::2])]
     return _reference_pairs(transform, pairs, lambda u, v: float(u @ v), tol)
 
 

@@ -431,8 +431,22 @@ def test_csv_format_classify_scalars(tmp_path, capsys):
     )
     assert code == 0
     header, row = out.strip().split("\n")
-    assert "branch" in header.split(",")
-    assert "antilinear" in row.split(",")
+    assert header == (
+        "verdict,branch,unitarity_residual,reconstruction_residual,pairs_tested,max_deviation"
+    )
+    assert row.split(",")[:2] == ["symmetry", "antilinear"]
+    assert row.split(",")[4] == "56"
+
+
+def test_csv_format_mazur_ulam_scalars(tmp_path, capsys):
+    spec = write_spec(tmp_path, ROTATION)
+    code, out = run_cli(
+        ["mazur-ulam", "--spec", spec, "--format", "csv", "--no-timestamp"], capsys
+    )
+    assert code == 0
+    header, row = out.strip().split("\n")
+    assert header == "verdict,orthogonality_residual,pairs_tested,max_deviation"
+    assert row.split(",")[::2] == ["orthogonal", "53"]
 
 
 def test_csv_format_diff_and_fuzz(tmp_path, capsys):
@@ -476,15 +490,6 @@ def test_human_format_error_report(tmp_path, capsys):
     assert "isometry: 3 pairs" in out
 
 
-def test_human_format_flags_residuals(tmp_path, capsys):
-    spec = write_spec(tmp_path, CONJUGATION)
-    code, out = run_cli(
-        ["classify", "--spec", spec, "--format", "human", "--no-timestamp"], capsys
-    )
-    assert code == 0
-    assert "verdict: symmetry" in out
-    assert "branch: antilinear" in out
-    assert "[ok]" in out
 
 
 def test_every_error_type_has_exactly_one_exit_code():
@@ -860,3 +865,38 @@ def test_human_format_of_an_n1_classify_names_its_caveat(tmp_path, capsys):
     code, out = human(["classify", "--spec", write_spec(tmp_path, PHASE_SINGLE)], capsys)
     assert code == 0
     assert out.splitlines()[-1] == "caveats: n1_branch_indistinct"
+
+
+def test_human_format_flags_residuals(tmp_path, capsys):
+    code, out = human(["classify", "--spec", write_spec(tmp_path, CONJUGATION)], capsys)
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[:4] == ["command: classify", "verdict: symmetry", "branch: antilinear", "operator:"]
+    # each entry is a complex number right-aligned in 22 columns, after a 2-space indent
+    for k, line in enumerate(lines[4:6]):
+        assert len(line) == 2 + 22 + 1 + 22, line
+        cells = [complex(cell.replace("i", "j")) for cell in line.split()]
+        assert np.abs(np.array(cells) - np.eye(2)[k]).max() < 1e-9, line
+    assert re.fullmatch(r"unitarity residual: \S+ \[ok\]", lines[6])
+    assert re.fullmatch(r"reconstruction residual: \S+ \[ok\]", lines[7])
+    assert re.fullmatch(r"preservation: 56 pairs, max deviation \S+ \[ok\]", lines[8])
+    assert len(lines) == 9
+
+
+def test_human_format_of_a_check_rejection(tmp_path, capsys):
+    code, out = human(["check", "--spec", write_spec(tmp_path, SCALING)], capsys)
+    lines = out.splitlines()
+    assert code == 2
+    assert lines[:2] == ["command: check", "error: not_a_symmetry"]
+    assert re.fullmatch(r"detail: max modulus deviation \S+ exceeds 1e-08", lines[2])
+    # a rejection stops at the n + 4 special pairs
+    assert re.fullmatch(r"preservation: 6 pairs, max deviation \S+ \[EXCEEDS 1e-08\]", lines[3])
+    assert len(lines) == 4
+
+
+@pytest.mark.parametrize("block", ["report", "preservation"])
+def test_report_schema_refuses_an_undeclared_field(tmp_path, capsys, block):
+    code, report = run_json(["check", "--spec", write_spec(tmp_path, SCALING)], capsys)
+    (report if block == "report" else report[block])["bogus"] = 1
+    with pytest.raises(jsonschema.ValidationError, match="bogus"):
+        jsonschema.validate(report, REPORT_SCHEMA)

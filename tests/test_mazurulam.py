@@ -115,3 +115,20 @@ def test_complex_values_are_not_a_real_map():
     assert np.abs(wg.reconstruct_orthogonal(transform).matrix - o).max() < 1e-9
     with pytest.raises(NotRealMap):
         transform(np.array([1.0, 1j, 0.0]))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_radial_defect_past_radius_ten_is_not_isometry(n):
+    # u -> O u (1 + 1e-6 max(0, |u|^2 - 100)^3) is orthogonal inside the ball
+    # of radius 10, which Gaussian pairs do not leave; the sampled radii up to
+    # 1e2 reach past it on every seed
+    for seed in range(10):
+        o = wg.haar_orthogonal(n, seed)
+
+        def radial(u):
+            r2 = (u**2).sum(axis=-1, keepdims=True)
+            return (u @ o.T) * (1.0 + 1e-6 * np.maximum(0.0, r2 - 100.0) ** 3)
+
+        transform = wg.RealTransformation(radial, n, vectorized=True)
+        with pytest.raises(NotIsometry):
+            wg.reconstruct_orthogonal(transform, num_pairs=50, seed=seed)

@@ -66,25 +66,26 @@ def orthogonal_plus(n: int, term):
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_moved_origin_is_refused_at_the_origin_stage(n):
-    with pytest.raises(OriginNotFixed) as real:
-        wg.reconstruct_orthogonal(orthogonal_plus(n, lambda u1: 2e-9))
-    assert str(real.value) == "|T(0)| = 2e-09 exceeds 1e-09"
-    # A constant offset 2e-9 e1 fails preservation at radius 1e2 (deviation
-    # 1e-7), so the complex witness confines it to a ball of radius about
-    # 1e-3: past radius 1e-2, the smallest a random pair reaches, it is
-    # below 2e-9 * exp(-100). The zero pair alone sees it, by 2e-9 |(Ua)_1|.
-    u = wg.haar_unitary(n, 3)
+    # A constant offset 2e-9 e1 fails both samplers at radius 1e2 (deviation
+    # about 1e-7), so each witness confines it to a ball of radius about
+    # 1e-3: past radius 1e-2, the smallest a random pair reaches, it is below
+    # 2e-9 * exp(-100). The zero pairs alone see it, by 2e-9 |(Oa)_1| or
+    # 2e-9 |(Ua)_1| for the anchor a.
     e1 = np.eye(n)[0]
+    offset = lambda z: 2e-9 * np.exp(-(np.abs(z) ** 2).sum(axis=-1, keepdims=True) / 1e-6) * e1
+    o = wg.haar_orthogonal(n, 3)
+    real = RealTransformation(lambda u: u @ o.T + offset(u), n, vectorized=True)
+    assert wg.check_isometry(real, 100, 0, 1e-8).passed
+    with pytest.raises(OriginNotFixed) as refused:
+        wg.reconstruct_orthogonal(real)
+    assert str(refused.value) == "|T(0)| = 2e-09 exceeds 1e-09"
 
-    def moved_near_origin(z):
-        radius2 = (z.real**2 + z.imag**2).sum(axis=-1, keepdims=True)
-        return z @ u.T + 2e-9 * np.exp(-radius2 / 1e-6) * e1
-
-    moved = wg.Transformation(moved_near_origin, n, vectorized=True)
+    u = wg.haar_unitary(n, 3)
+    moved = wg.Transformation(lambda z: z @ u.T + offset(z), n, vectorized=True)
     assert wg.check_preservation(moved, 50, 0, wg.gauge.PRESERVE_TOL).passed
-    with pytest.raises(OriginNotFixed) as complex_:
+    with pytest.raises(OriginNotFixed) as refused:
         wg.classify(moved)
-    assert str(complex_.value) == "|T(0)| = 2e-09 exceeds 1e-09"
+    assert str(refused.value) == "|T(0)| = 2e-09 exceeds 1e-09"
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
