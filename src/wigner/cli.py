@@ -60,28 +60,51 @@ SCHEMA_VERSION = 1
 
 # strict JSON has no NaN or infinity, so a report writes a non-finite float as null
 _REAL = {"type": ["number", "null"]}
-_COMPLEX_PAIR = {
-    "type": "array",
-    "items": _REAL,
-    "minItems": 2,
-    "maxItems": 2,
-}
-_COMPLEX_MATRIX = {
-    "type": "array",
-    "items": {"type": "array", "items": _COMPLEX_PAIR},
-}
-_PRESERVATION_BLOCK = {
-    "type": "object",
-    "required": ["pairs_tested", "max_deviation", "tolerance", "passed"],
-    "properties": {
-        "pairs_tested": {"type": "integer"},
-        "max_deviation": _REAL,
-        "tolerance": _REAL,
-        "passed": {"type": "boolean"},
-        "pairs": {"type": "array"},
-    },
-    "additionalProperties": False,
-}
+_INTEGER = {"type": "integer"}
+_STRING = {"type": "string"}
+_BRANCH = {"enum": ["linear", "antilinear"]}
+_COMPLEX_PAIR = {"type": "array", "items": _REAL, "minItems": 2, "maxItems": 2}
+_COMPLEX_MATRIX = {"type": "array", "items": {"type": "array", "items": _COMPLEX_PAIR}}
+
+
+def _closed(properties: dict, required=None) -> dict:
+    """An object of the given `properties` and no others; all are required,
+    or only the `required` ones."""
+    required = list(properties if required is None else required)
+    return {"type": "object", "required": required, "properties": properties,
+            "additionalProperties": False}
+
+
+_PAIR = _closed(
+    {"label": _STRING} | dict.fromkeys(["norm_w", "norm_z", "expected", "deviation"], _REAL)
+)
+_PRESERVATION_BLOCK = _closed(
+    {"pairs_tested": _INTEGER, "max_deviation": _REAL, "tolerance": _REAL,
+     "passed": {"type": "boolean"}, "pairs": {"type": "array", "items": _PAIR}},
+    required=["pairs_tested", "max_deviation", "tolerance", "passed"],
+)
+_DEFAULTS = ClassifyConfig()
+_CONFIG_ECHO = _closed(
+    dict.fromkeys(["command", "format", "spec", "constants", "manifest", "point"], _STRING)
+    | {"levels": _INTEGER}
+    | {name: _REAL if isinstance(value, float) else _INTEGER
+       for name, value in dataclasses.asdict(_DEFAULTS).items()},
+    required=["command", "format"],
+)
+_COUNTS = _closed(
+    dict.fromkeys(["symmetries", "recovered", "adversaries", "rejected", "caveat_n1"], _INTEGER)
+)
+_SMOOTHNESS = _closed(
+    dict.fromkeys(["coarse_difference", "fine_difference", "halving_ratio"], _REAL)
+)
+#: A fuzz instance's fields, in the order of its CSV columns.
+_FUZZ_INSTANCE = _closed(
+    {"index": _INTEGER, "kind": _STRING, "n": _INTEGER, "seed": _INTEGER,
+     "dressing_degree": _INTEGER,
+     "status": {"enum": ["caveat_n1", "rejected", "accepted", "recovered", "mismatch"]},
+     "branch": _BRANCH, "residual": _REAL, "error": _STRING},
+    required=["index", "kind", "n", "seed", "status"],
+)
 
 
 def _checked(label: str, value: float, tol: float) -> str:
@@ -121,11 +144,11 @@ class _Field(NamedTuple):
 
 #: Every report field, in the order --format human prints them.
 _FIELDS = {
-    "config_echo": _Field({"type": "object"}, lambda echo, _: f"command: {echo['command']}"),
-    "verdict": _Field({"type": "string"}, "verdict: {}".format, csv=True),
-    "error": _Field({"type": "string"}, "error: {}".format, csv=True),
-    "detail": _Field({"type": "string"}, "detail: {}".format),
-    "branch": _Field({"enum": ["linear", "antilinear"]}, "branch: {}".format, csv=True),
+    "config_echo": _Field(_CONFIG_ECHO, lambda echo, _: f"command: {echo['command']}"),
+    "verdict": _Field(_STRING, "verdict: {}".format, csv=True),
+    "error": _Field(_STRING, "error: {}".format, csv=True),
+    "detail": _Field(_STRING, "detail: {}".format),
+    "branch": _Field(_BRANCH, "branch: {}".format, csv=True),
     "operator": _Field(_COMPLEX_MATRIX, _matrix("operator", _complex_cell)),
     "operator_real": _Field(
         {"type": "array", "items": {"type": "array", "items": _REAL}},
@@ -140,24 +163,24 @@ _FIELDS = {
     "d_z": _Field(_COMPLEX_MATRIX, _matrix("d_z", _complex_cell)),
     "d_zbar": _Field(_COMPLEX_MATRIX, _matrix("d_zbar", _complex_cell)),
     "counts": _Field(
-        {"type": "object"},
+        _COUNTS,
         "fuzz: {0[recovered]}/{0[symmetries]} symmetries recovered, {0[rejected]}/"
         "{0[adversaries]} adversaries rejected, {0[caveat_n1]} n=1 caveats".format,
     ),
     "caveats": _Field(
-        {"type": "array", "items": {"type": "string"}},
+        {"type": "array", "items": _STRING},
         lambda caveats, _: "caveats: " + ", ".join(caveats) if caveats else "",
     ),
     "timing_ms": _Field({"type": "number"}, "timing: {} ms".format),
     "schema_version": _Field({"const": SCHEMA_VERSION}),
     "origin_d_z_norm": _Field(_REAL),
     "origin_d_zbar_norm": _Field(_REAL),
-    "smoothness": _Field({"type": "object"}),
+    "smoothness": _Field(_SMOOTHNESS),
     "point": _Field({"type": "array", "items": _COMPLEX_PAIR}),
     "step": _Field(_REAL),
-    "levels": _Field({"type": "integer"}),
-    "instances": _Field({"type": "array"}),
-    "generated_at": _Field({"type": "string"}),
+    "levels": _Field(_INTEGER),
+    "instances": _Field({"type": "array", "items": _FUZZ_INSTANCE}),
+    "generated_at": _Field(_STRING),
 }
 
 #: JSON schema for every emitted report (validated in the test suite).
@@ -285,79 +308,55 @@ def _cmd_diff(args) -> tuple[int, dict]:
 
 
 def _fuzz_instance(index: int, entry: dict, args) -> dict:
-    record = {
-        "index": index,
-        "kind": entry["kind"],
-        "n": entry["n"],
-        "seed": entry["seed"],
-    }
+    record = {"index": index, "kind": entry["kind"], "n": entry["n"], "seed": entry["seed"]}
     symmetry = is_symmetry_kind(entry["kind"])
     if symmetry:
         record["dressing_degree"] = entry.get("dressing_degree", 0)
     if entry["n"] == 1:
-        record["status"] = "caveat_n1"
-        return record
+        return record | {"status": "caveat_n1"}
     transform = transformation_from_entry(entry)
     config = dataclasses.replace(_config_from_args(args), seed=args.seed + index)
     try:
         result = classify(transform, config)
     except WignerError as exc:
-        record["status"] = "rejected"
-        record["error"] = exc.code
-        return record
+        return record | {"status": "rejected", "error": exc.code}
     record["branch"] = result.branch
     if not symmetry:
-        record["status"] = "accepted"
-        return record
+        return record | {"status": "accepted"}
     # recovery threshold for the ground-truth comparison reuses --tol-unitary
     truth = transform.ground_truth
-    alignment = align_global_phase(result.operator, truth["matrix"])
-    record["residual"] = alignment.aligned_residual
-    if result.branch == truth["kind"] and alignment.aligned_residual < args.tol_unitary:
-        record["status"] = "recovered"
-    else:
-        record["status"] = "mismatch"
-    return record
+    record["residual"] = align_global_phase(result.operator, truth["matrix"]).aligned_residual
+    recovered = result.branch == truth["kind"] and record["residual"] < args.tol_unitary
+    return record | {"status": "recovered" if recovered else "mismatch"}
 
 
 def _cmd_fuzz(args) -> tuple[int, dict]:
-    if args.manifest:
-        raw = json.loads(_read_text(args.manifest))
-    else:
-        raw = default_manifest()
-    entries = validate_manifest(raw)
-
-    records = [_fuzz_instance(idx, entry, args) for idx, entry in enumerate(entries)]
-
-    symmetries = [r for r in records if is_symmetry_kind(r["kind"]) and r["status"] != "caveat_n1"]
-    adversaries = [r for r in records if not is_symmetry_kind(r["kind"]) and r["status"] != "caveat_n1"]
+    raw = json.loads(_read_text(args.manifest)) if args.manifest else default_manifest()
+    records = [_fuzz_instance(i, entry, args) for i, entry in enumerate(validate_manifest(raw))]
+    tested = [r for r in records if r["status"] != "caveat_n1"]
+    symmetries = [r["status"] for r in tested if is_symmetry_kind(r["kind"])]
+    adversaries = [r["status"] for r in tested if not is_symmetry_kind(r["kind"])]
     counts = {
         "symmetries": len(symmetries),
-        "recovered": sum(r["status"] == "recovered" for r in symmetries),
+        "recovered": symmetries.count("recovered"),
         "adversaries": len(adversaries),
-        "rejected": sum(r["status"] == "rejected" for r in adversaries),
-        "caveat_n1": sum(r["status"] == "caveat_n1" for r in records),
+        "rejected": adversaries.count("rejected"),
+        "caveat_n1": len(records) - len(tested),
     }
-    ok = counts["recovered"] == counts["symmetries"] and counts["rejected"] == counts[
-        "adversaries"
-    ]
     payload = {"counts": counts, "instances": records}
-    if ok:
-        payload["verdict"] = "ok"
-        return 0, payload
-    payload["error"] = "fuzz_failures"
-    payload["detail"] = (
-        f"{counts['recovered']}/{counts['symmetries']} symmetries recovered, "
-        f"{counts['rejected']}/{counts['adversaries']} adversaries rejected"
-    )
-    return 2, payload
+    if counts["recovered"] == counts["symmetries"] and counts["rejected"] == counts["adversaries"]:
+        return 0, payload | {"verdict": "ok"}
+    return 2, payload | {
+        "error": "fuzz_failures",
+        "detail": f"{counts['recovered']}/{counts['symmetries']} symmetries recovered, "
+        f"{counts['rejected']}/{counts['adversaries']} adversaries rejected",
+    }
 
 
 def _cmd_mazur_ulam(args) -> tuple[int, dict]:
     transform = _load_transformation(args)
     reconstruction = reconstruct_orthogonal(
         RealTransformation(transform, transform.dimension, vectorized=True),
-        step=args.step,
         tol=args.tol_unitary,
         num_pairs=args.samples,
         seed=args.seed,
@@ -394,7 +393,7 @@ _COMMANDS = {
     "mazur-ulam": _Command(
         _cmd_mazur_ulam,
         "real Euclidean analysis: isometry check + orthogonal matrix",
-        ("step", "tol_unitary", "samples", "seed"),
+        ("tol_unitary", "samples", "seed"),
     ),
 }
 
@@ -438,11 +437,6 @@ def _to_json(report: dict) -> str:
     return json.dumps(_finite_or_null(report), allow_nan=False, indent=2, sort_keys=True) + "\n"
 
 
-_FUZZ_CSV_FIELDS = (
-    "index", "kind", "n", "seed", "dressing_degree", "status", "branch", "residual", "error"
-)
-
-
 def _csv_listing(fields, rows) -> str:
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fields, restval="", lineterminator="\n")
@@ -455,7 +449,7 @@ def _to_csv(report: dict) -> str:
     command = report["config_echo"]["command"]
     if command == "fuzz":
         # a report refused on its manifest has no instances
-        return _csv_listing(_FUZZ_CSV_FIELDS, report.get("instances", []))
+        return _csv_listing(_FUZZ_INSTANCE["properties"], report.get("instances", []))
     if command == "check" and "preservation" in report:
         pairs = report["preservation"]["pairs"]  # never empty: the specials come first
         return _csv_listing(pairs[0].keys(), pairs)
@@ -529,12 +523,11 @@ def build_parser() -> argparse.ArgumentParser:
         "as unitary or antiunitary and reconstruct the operator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = ClassifyConfig()
     for name, command in _COMMANDS.items():
         # the settings parent goes first, so usage lists the settings first
         settings = _ArgumentParser(add_help=False)
         for setting in command.settings:
-            default = getattr(defaults, setting)
+            default = getattr(_DEFAULTS, setting)
             settings.add_argument(_option(setting), type=type(default), default=default,
                                   help="default: %(default)s")
         parents = [settings, common] if name == "fuzz" else [settings, common, spec_opts]

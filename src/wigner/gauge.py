@@ -40,7 +40,9 @@ from .errors import (
 )
 from .states import Transformation, as_array, as_state, random_state
 
-PROBE_SCALE = 1e-4
+# the Richardson limit leaves about phi'''(0) (eps |z|)^3 / 6 of the phase phi along the
+# probe ray, below RESIDUAL_PHASE_TOL for exp(i sin(c Re z1)) U z up to c = 1e4
+PROBE_SCALE = 1e-6
 DEGENERATE_TOL = 1e-8
 PRESERVE_TOL = 1e-8
 # gauge_fix's origin check and its post-hoc self-check on the residual phase
@@ -131,7 +133,7 @@ def origin_phase(
     component, or when |z|^2 overflows (|z| above about 1e154);
     DegeneratePair when the smallest probe overlap eps/4 * |z|^2 of a
     nonzero z falls below the smallest normal float (|z| below about
-    3e-152), where the overlaps have lost their digits; DimensionMismatch
+    3e-151), where the overlaps have lost their digits; DimensionMismatch
     unless a given `images` has shape (4, n). Reading the phases raises
     NotProbabilityPreserving when a probe overlap modulus is not preserved,
     a NaN overlap included.

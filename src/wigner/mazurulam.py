@@ -1,10 +1,13 @@
 """Real Euclidean analogue: scalar-product preservation and orthogonal
 matrix reconstruction.
 
-A differentiable map on R^n with T(u).T(v) = u.v for all pairs has a
-Jacobian that is constant, invertible and orthogonal, so T is the linear
-map given by its Jacobian at the origin. Unlike the complex case there is
-no phase freedom: Jacobians at distinct points must agree entrywise.
+A map on R^n with T(u).T(v) = u.v for all pairs is linear: expanding
+|T(u + v) - T(u) - T(v)|^2 and |T(c u) - c T(u)|^2 into scalar products
+gives zero for both. So T is the matrix O = [T(e_1) ... T(e_n)] of its
+basis images, and O is orthogonal. This is the linear core of Mazur-Ulam
+(C. R. Acad. Sci. Paris 194, 946 (1932)) and needs no derivative. Unlike
+the complex case there is no phase freedom: O is read off the images
+themselves.
 """
 
 from dataclasses import dataclass
@@ -15,7 +18,6 @@ from .classifier import PreservationReport, relative_miss, sample_pairs, unitari
 from .errors import NotIsometry, NotOrthogonal, ReconstructionMismatch, require_settings
 from .gauge import require_origin_fixed
 from .states import Transformation
-from .wirtinger import DEFAULT_STEP, real_jacobian
 
 
 class RealTransformation(Transformation):
@@ -55,35 +57,29 @@ def check_isometry(
 
 def reconstruct_orthogonal(
     transform: RealTransformation,
-    step: float = DEFAULT_STEP,
     tol: float = 1e-8,
     num_pairs: int = 100,
     seed: int = 0,
 ) -> OrthogonalReconstruction:
     """Recover the orthogonal matrix of a scalar-product-preserving map.
 
-    The matrix is the central-difference Jacobian at the origin, verified
-    three ways: O^T O = I within `tol`; |T(v) - O v| / |v| < tol at 50
-    seeded points; Jacobians at two further points agree with O entrywise
-    within `tol` (no scalar freedom in the real case). The isometry check
-    runs first and its report is returned with the matrix.
+    The isometry check runs first, then |T(0)| < ORIGIN_TOL. Column k of
+    the matrix is T(e_k), verified two ways: O^T O = I within `tol`, and
+    |T(v) - O v| / |v| < tol at 50 seeded points. The isometry report is
+    returned with the matrix.
     """
-    require_settings({"step": step})
     report = check_isometry(transform, num_pairs=num_pairs, seed=seed, tol=tol)
     NotIsometry.unless_below(report.max_deviation, tol, "max scalar-product deviation", report)
     require_origin_fixed(transform)
 
     n = transform.dimension
-    matrix = real_jacobian(transform, np.zeros(n), step)
+    matrix = transform(np.eye(n)).T
     residual = NotOrthogonal.unless_below(unitarity_residual(matrix), tol, "|O^T O - I| =")
 
     rng = np.random.default_rng([seed, 1])
     points = rng.standard_normal((50, n))
     miss = relative_miss(transform, points, points @ matrix.T)
     ReconstructionMismatch.unless_below(miss, tol, "relative reconstruction miss")
-    for v in rng.standard_normal((2, n)):
-        drift = float(np.abs(real_jacobian(transform, v, step) - matrix).max())
-        ReconstructionMismatch.unless_below(drift, tol, "off-origin Jacobian drift")
     return OrthogonalReconstruction(
         matrix=matrix, orthogonality_residual=residual, isometry=report
     )

@@ -157,8 +157,9 @@ def real_jacobian(transform, at, step: float = DEFAULT_STEP) -> np.ndarray:
     """Central-difference Jacobian of a real map: the x-half of the stencil.
 
     `transform` maps float64 vectors on R^n to float64 vectors, like a
-    `RealTransformation`; shared by the real Euclidean analysis. Uses 2n
-    evaluations, sent as one batch.
+    `RealTransformation`. Uses 2n evaluations, sent as one batch. No
+    pipeline calls it: `reconstruct_orthogonal` reads its matrix off the
+    basis images.
     """
     x = as_state(at, transform.dimension, np.float64)
     return _central_differences(transform, x, step, (1.0,))[0]

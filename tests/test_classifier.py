@@ -337,3 +337,23 @@ def test_radial_defect_past_radius_10_is_refused(n):
         transform = wg.Transformation(radial, n, vectorized=True)
         with pytest.raises(NotASymmetry):
             wg.classify(transform, wg.ClassifyConfig(seed=seed))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["linear", "antilinear"])
+@pytest.mark.parametrize("n", [2, 8])
+@pytest.mark.parametrize("c", [1e2, 1e3, 1e4])
+def test_steep_smooth_phase_is_accepted(c, n, kind, seed):
+    # exp(i sin(c Re z1)) U z is a smooth symmetry. The gauge's Richardson
+    # limit leaves about phi''' (eps |z|)^3 / 6, with phi''' up to c^3: at
+    # eps = 1e-6 that reaches the 1e-6 self-check near c = 2e4 to 3e4 (and
+    # near c = 200 at eps = 1e-4). Measured: U within 3.9e-16, and a
+    # reconstruction miss of 1.4e-13, 1.4e-10 and 1.4e-7 at these c.
+    u = wg.haar_unitary(n, seed)
+    conj = np.conj if kind == "antilinear" else np.asarray
+    transform = wg.Transformation(
+        lambda z: np.exp(1j * np.sin(c * z[..., :1].real)) * (conj(z) @ u.T), n, vectorized=True
+    )
+    result = wg.classify(transform, wg.ClassifyConfig(seed=seed))
+    assert result.branch == kind
+    assert wg.align_global_phase(result.operator, u).aligned_residual < 1e-12

@@ -598,7 +598,7 @@ COMMAND_SETTINGS = {
     "check": ("tol_preserve", "samples", "seed"),
     "diff": ("step", "tol_branch"),
     "fuzz": ALL_SETTINGS,
-    "mazur-ulam": ("step", "tol_unitary", "samples", "seed"),
+    "mazur-ulam": ("tol_unitary", "samples", "seed"),
 }
 SETTING_VALUES = {
     "step": 2e-5, "tol_preserve": 1e-7, "tol_unitary": 1e-5, "tol_branch": 1e-3,
@@ -646,6 +646,16 @@ def test_a_setting_the_subcommand_ignores_is_a_usage_error(tmp_path, capsys, com
     assert f"unrecognized arguments: {option(name)}" in captured.err
 
 
+def test_mazur_ulam_takes_no_step(tmp_path, capsys):
+    # the real matrix is read off the basis images, so no stencil step applies
+    with pytest.raises(SystemExit) as usage:
+        main(command_args(tmp_path, "mazur-ulam") + ["--step", "1e-5"])
+    assert usage.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --step 1e-5" in captured.err
+
+
 def test_help_lists_each_subcommands_options(capsys):
     top = build_parser().format_help()
     assert all(command in top for command in COMMAND_SETTINGS)
@@ -660,7 +670,7 @@ def test_help_lists_each_subcommands_options(capsys):
         expected = shared | inputs.get(command, {"--spec", "--constants"})
         assert listed == expected | {option(name) for name in settings}
         pairs += len(listed - {"--help"})
-    assert pairs == 47
+    assert pairs == 46
 
 
 BAD_SETTINGS = [
@@ -688,7 +698,6 @@ BAD_SETTINGS = [
     ("classify", "--step", "1e300", "in [1e-08, 0.1]"),
     ("diff", "--step", "1e-300", "in [1e-08, 0.1]"),
     ("fuzz", "--step", "1e-13", "in [1e-08, 0.1]"),
-    ("mazur-ulam", "--step", "1e300", "in [1e-08, 0.1]"),
     ("classify", "--tol-branch", "1", "at most 0.1"),
     ("classify", "--tol-branch", "1e300", "at most 0.1"),
     ("classify", "--tol-branch", "0.11", "at most 0.1"),
@@ -894,9 +903,22 @@ def test_human_format_of_a_check_rejection(tmp_path, capsys):
     assert len(lines) == 4
 
 
-@pytest.mark.parametrize("block", ["report", "preservation"])
+# each object a report can hold: the subcommand that emits it, and where it is
+REPORT_BLOCKS = {
+    "report": ("check", lambda report: report),
+    "preservation": ("check", lambda report: report["preservation"]),
+    "pairs": ("check", lambda report: report["preservation"]["pairs"][0]),
+    "config_echo": ("check", lambda report: report["config_echo"]),
+    "smoothness": ("classify", lambda report: report["smoothness"]),
+    "counts": ("fuzz", lambda report: report["counts"]),
+    "instances": ("fuzz", lambda report: report["instances"][0]),
+}
+
+
+@pytest.mark.parametrize("block", REPORT_BLOCKS)
 def test_report_schema_refuses_an_undeclared_field(tmp_path, capsys, block):
-    code, report = run_json(["check", "--spec", write_spec(tmp_path, SCALING)], capsys)
-    (report if block == "report" else report[block])["bogus"] = 1
+    command, find = REPORT_BLOCKS[block]
+    _, report = run_json(command_args(tmp_path, command), capsys)
+    find(report)["bogus"] = 1
     with pytest.raises(jsonschema.ValidationError, match="bogus"):
         jsonschema.validate(report, REPORT_SCHEMA)

@@ -106,8 +106,10 @@ def test_reconstruct_orthogonal_n4():
     transform = wg.RealTransformation(lambda u: q @ u, 4)
     points = count_points(transform)
     assert np.abs(wg.reconstruct_orthogonal(transform).matrix - q).max() < 1e-9
-    # 2 x 103 isometry pairs, the origin, 3 real Jacobians of 8, 50 points
-    assert points[0] == 281
+    # 261 = 2 x 103 isometry pairs (3 specials, 100 random) + 1 origin + 4
+    # basis images + 50 reconstruction points; the origin stencil and two
+    # constancy stencils, 3 x 2n = 24 points, took it to 281
+    assert points[0] == 261
 
 
 def test_cli_mazur_ulam_checks_isometry_once(tmp_path, monkeypatch, capsys):
@@ -124,9 +126,10 @@ def test_cli_mazur_ulam_checks_isometry_once(tmp_path, monkeypatch, capsys):
     spec.write_text(ROTATION)
     assert main(["mazur-ulam", "--spec", str(spec)]) == 0
     capsys.readouterr()
-    # 2 x 53 isometry pairs, the origin, 3 real Jacobians of 4, 50 points;
-    # checking the isometry twice would add another 106
-    assert [c[0] for c in counters] == [169]
+    # 159 = 2 x 53 isometry pairs (3 specials, 50 random) + 1 origin + 2
+    # basis images + 50 reconstruction points; checking the isometry twice
+    # would add another 106. Three stencils of 2n = 4 points took it to 169
+    assert [c[0] for c in counters] == [159]
 
 
 def program_steps(source: str, constants=None) -> int:

@@ -8,6 +8,9 @@ run in the same order, so the two must agree bit for bit (compared with
 version raised a typed error.
 """
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,10 @@ from wigner.errors import (
 )
 
 DIMENSIONS = (1, 2, 8, 64)
-SCALES = (1e-150, 1e-50, 1e-5, 1.0, 1e5, 1e50, 1e150)
+# the |z| below which the smallest probe overlap eps/4 * |z|^2 underflows;
+# it moves as eps^(-1/2), and is about 3e-151 at eps = 1e-6
+UNDERFLOW = math.sqrt(sys.float_info.min / gauge._EPS[2])
+SCALES = (100 * UNDERFLOW, 1e-50, 1e-5, 1.0, 1e5, 1e50, 1e150)
 
 
 def outcome(read, *args, **kwargs):
@@ -125,22 +131,25 @@ def edge_maps(n):
 
 
 def test_underflowing_probe_overlap_is_a_degenerate_pair():
-    # eps/4 * |z|^2 falls below the smallest normal float at |z| ~ 1e-152;
+    # eps/4 * |z|^2 falls below the smallest normal float at |z| = UNDERFLOW;
     # below that the first version refused a unitary as not preserving
-    # (1e-160), divided by zero (1e-161) or returned 0.0 (1e-170)
+    # (UNDERFLOW / 10^8.5), divided by zero (/ 10^9.5) or returned 0.0
+    # (/ 10^18.5). This |z| = 2.3 point sits in those regions at eps = 1e-4
+    # and at eps = 1e-6 alike.
     transform, fixed = edge_maps(3)
     z = wg.random_state(3, np.random.default_rng(2))
     with pytest.raises(NotProbabilityPreserving):
-        reference_origin_phase(transform, 1e-160 * z)
+        reference_origin_phase(transform, UNDERFLOW / 10**8.5 * z)
     with pytest.raises(ZeroDivisionError):
-        reference_origin_phase(transform, 1e-161 * z)
-    assert reference_origin_phase(transform, 1e-170 * z) == 0.0
-    for scale in (1e-155, 1e-160, 1e-161, 1e-170, 1e-320):
+        reference_origin_phase(transform, UNDERFLOW / 10**9.5 * z)
+    assert reference_origin_phase(transform, UNDERFLOW / 10**18.5 * z) == 0.0
+    for scale in [UNDERFLOW / 10**k for k in (3.5, 8.5, 9.5, 18.5)] + [1e-320]:
         with pytest.raises(DegeneratePair, match="underflows"):
             wg.origin_phase(transform, scale * z)
         with pytest.raises(DegeneratePair, match="underflows"):
             fixed(scale * z)
-    assert wg.origin_phase(transform, 1e-150 * z) == reference_origin_phase(transform, 1e-150 * z)
+    above = 30 * UNDERFLOW * z
+    assert wg.origin_phase(transform, above) == reference_origin_phase(transform, above)
 
 
 def test_overflowing_norm_is_a_non_finite_evaluation():

@@ -195,7 +195,6 @@ REFUSED = {
     "check_isometry-tol-nan": lambda t, r: wg.check_isometry(r, 5, 0, math.nan),
     "check_isometry-pairs-0": lambda t, r: wg.check_isometry(r, 0, 0, 1e-8),
     "reconstruct_orthogonal-tol-nan": lambda t, r: wg.reconstruct_orthogonal(r, tol=math.nan),
-    "reconstruct_orthogonal-step-1": lambda t, r: wg.reconstruct_orthogonal(r, step=1.0),
     "wirtinger_jacobian-step-0": lambda t, r: wg.wirtinger_jacobian(t, np.zeros(2), 0.0),
     "wirtinger_jacobian-step-nan": lambda t, r: wg.wirtinger_jacobian(t, np.zeros(2), math.nan),
     "wirtinger_jacobian-step-inf": lambda t, r: wg.wirtinger_jacobian(t, np.zeros(2), math.inf),
