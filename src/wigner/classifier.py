@@ -152,12 +152,13 @@ def check_preservation(
     """Sample | |<Tw|Tz>| - |<w|z>| | over forced special pairs, then random ones.
 
     The specials are the rows (w, z) of one zeroed (S, 2, n) array, filled
-    by slices with no loop over the basis, in this order: (0, a) for a
-    random anchor a; (e_k, a) for k = 1..n, from one identity matrix;
-    (e_1, e_2) when n >= 2; (p, p) and (p, 2.5 p) for a random p. Then
-    `num_pairs` (1..MAX_SAMPLES) random pairs follow if all pass: standard
-    complex Gaussian directions, scaled by `sample_pairs`. Deterministic
-    given `seed`; SchemaError for a bad setting.
+    by slices and scalar stores with no loop over the basis, in this
+    order: (0, a) for a random anchor a; (e_k, a) for k = 1..n, whose e_k
+    are the diagonal of their (n, n) block; (e_1, e_2) when n >= 2; (p, p)
+    and (p, 2.5 p) for a random p. Then `num_pairs` (1..MAX_SAMPLES) random
+    pairs follow if all pass: standard complex Gaussian directions, scaled
+    by `sample_pairs`. Deterministic given `seed`; SchemaError for a bad
+    setting.
     """
     require_settings({"num_pairs": num_pairs, "seed": seed, "tol": tol})
     n = transform.dimension
@@ -167,9 +168,9 @@ def check_preservation(
     labels = ["zero"] + ["basis"] * n + ["orthogonal"] * (n >= 2) + ["parallel", "parallel_scaled"]
     points = np.zeros((len(labels), 2, n), dtype=np.complex128)
     points[: n + 1, 1] = anchor
-    points[1 : n + 1, 0] = np.eye(n)
+    np.fill_diagonal(points[1 : n + 1, 0], 1.0)
     if n >= 2:
-        points[n + 1, :, :2] = np.eye(2)
+        points[n + 1, 0, 0] = points[n + 1, 1, 1] = 1.0
     points[-2:, 0] = parallel
     points[-2:, 1] = parallel, 2.5 * parallel
 
@@ -214,13 +215,21 @@ def sample_pairs(
 
 def _score_pairs(transform, points, product) -> np.ndarray:
     """Rows (norm_w, norm_z, expected, deviation) of the (w, z) rows of `points`,
-    whose 2P points are evaluated in one batch, ordered w0, z0, w1, z1, ..."""
-    norms = np.linalg.norm(points, axis=-1)
-    expected = product(points[:, 0], points[:, 1])
+    whose 2P points are evaluated in one batch, ordered w0, z0, w1, z1, ...
+
+    The rows are written into one (P, 4) array. The norms are the square
+    roots of one einsum over the float view of `points`, as `sample_pairs`
+    reads the radii."""
+    columns = np.empty((len(points), 4))
+    reals = points.view(np.float64)
+    norms = np.einsum("...k,...k->...", reals, reals, out=columns[:, :2])
+    np.sqrt(norms, out=norms)
+    expected = columns[:, 2]
+    expected[:] = product(points[:, 0], points[:, 1])
     images = transform(points.reshape(-1, points.shape[-1])).reshape(points.shape)
-    deviation = np.abs(product(images[:, 0], images[:, 1]) - expected)
+    deviation = np.abs(product(images[:, 0], images[:, 1]) - expected, out=columns[:, 3])
     deviation[np.isnan(deviation)] = np.inf  # an overflowed product misses by all
-    return np.column_stack([norms, expected, deviation])
+    return columns
 
 
 def require_preserved(report: PreservationReport) -> None:

@@ -48,8 +48,8 @@ def check_isometry(
     n = transform.dimension
     rng = np.random.default_rng(seed)
     anchor = rng.standard_normal(n)
-    zero = np.zeros(n)
-    specials = np.array([(zero, zero), (zero, anchor), (anchor, anchor)])
+    specials = np.zeros((3, 2, n))  # (0, 0), (0, anchor), (anchor, anchor)
+    specials[1, 1] = specials[2] = anchor
     draw = lambda: rng.standard_normal((num_pairs, 2, n))
     product = lambda u, v: np.einsum("ij,ij->i", u, v)
     return sample_pairs(transform, ["zero", "zero", "parallel"], specials, draw, rng, product, tol)

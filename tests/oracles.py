@@ -9,7 +9,9 @@ it. This never touches finite differences, so it anchors the numerical
 engine. `value_oracle` reads the values off the same recursion, one point
 at a time in Python complex arithmetic (cmath), so it also anchors the
 compiled evaluator; like it, a divisor of modulus below 1e-300 raises
-DivisionNearZero.
+DivisionNearZero. `rounding_spread` carries the rounding of each matrix
+product through the same recursion, to bound how far a one-row and a
+batched evaluation may part.
 
 `reference_preservation` and `reference_isometry` are the pair samplers
 written as a loop: one draw per vector, then one radius per random vector,
@@ -34,7 +36,7 @@ import math
 import numpy as np
 
 from wigner.classifier import PairRecord
-from wigner.dsl import BinOp, Literal, MatApply, Neg, TransformSpec, Var, walk
+from wigner.dsl import BinOp, Call, Literal, MatApply, Neg, TransformSpec, Var, walk
 from wigner.errors import DivisionNearZero, NotProbabilityPreserving
 from wigner.gauge import _PROBES, PRESERVE_TOL, wrap_angle
 from wigner.states import as_state
@@ -131,6 +133,65 @@ def subterm_values(spec: TransformSpec, z, constants=None) -> list:
         for k, tree in enumerate(spec.outputs)
         for sub in walk(tree)
     ]
+
+
+EPS = float(np.finfo(float).eps)
+# an evaluation of one subterm rounds its result within 2 ulps of the value
+# (numpy's complex exp, sin, cos and division included; an ulp is the
+# spacing of floats at the value, which stops shrinking among subnormals),
+# so two evaluations from moved operands part by up to this many ulps more
+# than the move itself
+NODE_ULPS = 4.0
+
+
+def _spread(node, z, row, mats):
+    """(value, bound): the subterm `node` of T_row at z, and how far apart two
+    evaluations of it may lie whose only difference is how each rounds its
+    matrix products. The bound follows each step's derivative exactly."""
+    v = _forward(node, z, row, mats)[0]
+    if isinstance(node, MatApply):
+        # each product row is a complex inner product of length n, within
+        # (n + 2) eps / 2 times sum_j |M_kj| |z_j| of the exact row, so the
+        # two differ by at most twice that
+        return v, (len(z) + 2) * EPS * float(np.abs(mats[node.name][row]) @ np.abs(z))
+    if isinstance(node, (Literal, Var)) or (isinstance(node, Call) and not node.args):
+        return v, 0.0  # no matrix product below a literal, a variable or norm2()
+    if isinstance(node, BinOp):
+        v1, e1 = _spread(node.left, z, row, mats)
+        v2, e2 = _spread(node.right, z, row, mats)
+        moved = e1 > 0.0 or e2 > 0.0
+        if node.op in "+-":
+            e = e1 + e2
+        elif node.op == "*":
+            e = abs(v1) * e2 + abs(v2) * e1 + e1 * e2
+        else:
+            e = (e1 + abs(v) * e2) / (abs(v2) - e2) if abs(v2) > e2 else math.inf
+    else:
+        a, e = _spread(node.operand if isinstance(node, Neg) else node.args[0], z, row, mats)
+        moved = e > 0.0
+        func = None if isinstance(node, Neg) else node.func
+        if func == "abs2":
+            e = 2.0 * abs(a) * e + e * e
+        elif func in ("exp", "expi"):
+            e = abs(v) * math.expm1(e)  # every derivative is at most |v|
+        elif func in ("sin", "cos"):
+            e = max(abs(cmath.sin(a)), abs(cmath.cos(a))) * math.expm1(e)
+        # minus, conj, re and im move by the move of their operand
+    # the rounding of a moved operand counts even where its carried move underflows
+    return v, (e + NODE_ULPS * float(np.spacing(abs(v)))) if moved else 0.0
+
+
+def rounding_spread(spec: TransformSpec, z, constants=None) -> np.ndarray:
+    """Bound, output by output, on how far two compiled evaluations of T at z
+    may lie apart when they differ only in how they round their matrix
+    products, as BLAS does for one row (gemv) and for a batch (gemm): the
+    rounding of each product row, carried through the tree by each step's
+    derivative, whose size the subterm magnitudes give (|e^a| for exp(a),
+    |v_2| for v_1 * v_2, ...). Raises as `value_oracle` does where cmath
+    overflows or a divisor vanishes."""
+    z = np.asarray(z, dtype=complex)
+    mats = _matrices(spec, constants)
+    return np.array([_spread(tree, z, k, mats)[1] for k, tree in enumerate(spec.outputs)])
 
 
 def jacobian_oracle(spec: TransformSpec, z, constants=None):

@@ -9,13 +9,13 @@ one point at a time, in Python complex arithmetic.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import wigner as wg
 from wigner import dsl
 from wigner.errors import DivisionNearZero, NonFiniteEvaluation
 
-from oracles import jacobian_oracle, matrix_names, subterm_values, value_oracle
+from oracles import jacobian_oracle, matrix_names, rounding_spread, subterm_values, value_oracle
 
 MATRIX_NAMES = ("A", "B")
 UNARY = tuple(name for name in dsl.FUNCTIONS if name != "norm2")
@@ -53,20 +53,27 @@ def trees(n: int):
 TREES = {n: trees(n) for n in (1, 2, 3)}
 
 
+def seeded_case(spec, seed: int, m: int):
+    """(spec, constants, points): `spec` with the matrices and m points that
+    `cases` draws from the integer `seed`."""
+    n = spec.dimension
+    rng = np.random.default_rng(seed)
+    constants = {
+        name: rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for name in MATRIX_NAMES
+    }
+    radius = rng.uniform(0.0, 1.0, (m, n))
+    points = radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (m, n)))
+    return spec, constants, points
+
+
 @st.composite
 def cases(draw):
     """(spec, constants, points): a random spec with its matrices and 1-6 points."""
     n = draw(st.sampled_from(sorted(TREES)))
     outputs = tuple(draw(TREES[n]) for _ in range(n))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    constants = {
-        name: rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        for name in MATRIX_NAMES
-    }
-    m = draw(st.integers(1, 6))
-    radius = rng.uniform(0.0, 1.0, (m, n))
-    points = radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (m, n)))
-    return dsl.TransformSpec(n, outputs), constants, points
+    seed = draw(st.integers(0, 2**32 - 1))
+    return seeded_case(dsl.TransformSpec(n, outputs), seed, draw(st.integers(1, 6)))
 
 
 def evaluate_or_none(transform, z):
@@ -111,8 +118,24 @@ def test_compiled_values_match_oracle(case):
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, scale)
 
 
+def spread_or_inf(spec, z, constants) -> np.ndarray:
+    """`rounding_spread` at z, with no bound where the oracle cannot evaluate
+    T or its bound is undefined (an infinite value times an exact zero)."""
+    try:
+        with np.errstate(all="ignore"):
+            bound = rounding_spread(spec, z, constants)
+    except (DivisionNearZero, OverflowError, ZeroDivisionError):
+        return np.full(spec.dimension, np.inf)
+    return np.where(np.isnan(bound), np.inf, bound)
+
+
 @PROPERTY_SETTINGS
 @given(cases())
+# a relative tolerance of 1e-13 failed here: Az rounds apart by an ulp in
+# the one-row and batched products, and exp(exp(.)) magnifies that past it
+@example(seeded_case(dsl.parse("dim 2; T1 = 0; T2 = exp(exp(norm2() / mat(A)));"), 16777216, 5))
+# well conditioned: the bound stays far below a 1e-12 move of any row
+@example(seeded_case(dsl.parse("dim 2; T1 = mat(A); T2 = z1 * mat(B) + 2;"), 0, 4))
 def test_batch_rows_equal_single_points(case):
     """Each row of a batch equals that point sent as a batch of one, bit for bit.
 
@@ -130,8 +153,13 @@ def test_batch_rows_equal_single_points(case):
     single = np.concatenate([transform.evaluator(points[i : i + 1]) for i in range(len(points))])
     if matrix_names(spec) and spec.dimension > 1:
         # BLAS rounds a matrix product of one row (gemv) and of a batch (gemm)
-        # differently; every other step is elementwise and must match exactly
-        assert np.allclose(batch, single, rtol=1e-13, atol=0.0, equal_nan=True)
+        # differently; every other step is elementwise, so the rows may part
+        # only by that rounding carried through the tree
+        bound = np.array([spread_or_inf(spec, z, constants) for z in points])
+        with np.errstate(invalid="ignore"):
+            near = np.abs(batch - single) <= bound
+        same = (batch == single) | (np.isnan(batch) & np.isnan(single))
+        assert (near | same).all()
     else:
         assert batch.tobytes() == single.tobytes()
 

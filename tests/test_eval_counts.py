@@ -101,6 +101,28 @@ def test_check_preservation_n1_has_no_orthogonal_pair():
     assert points == [8, 1]
 
 
+def test_check_isometry_n8_scores_specials_then_random_pairs():
+    q = wg.haar_orthogonal(8, 3)
+    transform = wg.RealTransformation(lambda u: u @ q.T, 8, vectorized=True)
+    points = count_points(transform)
+    assert wg.check_isometry(transform, num_pairs=40).passed
+    # 86 = 2 x (3 specials + 40 random pairs), in 2 calls: the specials
+    # (0, 0), (0, a) and (a, a) pass, so the random pairs are drawn and
+    # scored as a second batch
+    assert points == [86, 2]
+
+
+def test_check_isometry_n8_stops_at_the_specials():
+    transform = wg.RealTransformation(lambda u: 2.0 * u, 8, vectorized=True)
+    points = count_points(transform)
+    report = wg.check_isometry(transform, num_pairs=40)
+    assert not report.passed
+    assert report.labels == ["zero", "zero", "parallel"]
+    # 6 = 2 x 3 specials in 1 call: (a, a) misses by 3|a|^2, so the check
+    # ends before it draws a random pair
+    assert points == [6, 1]
+
+
 def test_reconstruct_orthogonal_n4():
     q = wg.haar_orthogonal(4, 7)
     transform = wg.RealTransformation(lambda u: q @ u, 4)
