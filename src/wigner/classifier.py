@@ -65,22 +65,10 @@ class ClassifyConfig:
         require_settings(vars(self))
 
 
-@dataclass(frozen=True)
-class PairRecord:
-    """One tested pair in a preservation report."""
-
-    label: str
-    norm_w: float
-    norm_z: float
-    expected: float  # product(w, z), e.g. |<w|z>|
-    deviation: float  # |product(Tw, Tz) - product(w, z)|
-
-
 @dataclass
 class PreservationReport:
-    """A sampled preservation check: `labels` names each pair and `columns`
-    holds its PairRecord numbers (norm_w, norm_z, expected, deviation), from
-    which `records` builds the PairRecords when read."""
+    """A sampled preservation check: `labels` names each pair and row k of
+    the (P, 4) `columns` holds pair k's numbers, named by PAIR_COLUMNS."""
 
     pairs_tested: int
     max_deviation: float
@@ -88,10 +76,6 @@ class PreservationReport:
     passed: bool
     labels: list[str] = field(repr=False)
     columns: np.ndarray = field(repr=False, compare=False)
-
-    @property
-    def records(self) -> list[PairRecord]:
-        return [PairRecord(label, *row) for label, row in zip(self.labels, self.columns.tolist())]
 
 
 @dataclass
@@ -195,14 +179,16 @@ def sample_pairs(
     Passes when the largest deviation is below `tol`.
     """
     columns = _score_pairs(transform, specials, product)
-    if columns[:, -1].max() < tol:
+    worst = float(columns[:, -1].max())
+    if worst < tol:
         pairs = draw()
         radii = 10.0 ** rng.uniform(-2.0, 2.0, (*pairs.shape[:-1], 1))
         reals = pairs.view(np.float64)  # |z|^2 without a complex temporary
         pairs *= radii / np.sqrt(np.einsum("...k,...k->...", reals, reals))[..., None]
-        columns = np.concatenate([columns, _score_pairs(transform, pairs, product)])
+        randoms = _score_pairs(transform, pairs, product)
+        worst = max(worst, float(randoms[:, -1].max()))
+        columns = np.concatenate([columns, randoms])
     labels = labels + ["random"] * (len(columns) - len(labels))
-    worst = float(columns[:, -1].max())
     return PreservationReport(
         pairs_tested=len(labels),
         max_deviation=worst,
@@ -213,14 +199,19 @@ def sample_pairs(
     )
 
 
+#: The numbers of a tested pair, in the order of the columns of `_score_pairs`.
+PAIR_COLUMNS = ("norm_w", "norm_z", "expected", "deviation")
+
+
 def _score_pairs(transform, points, product) -> np.ndarray:
     """Rows (norm_w, norm_z, expected, deviation) of the (w, z) rows of `points`,
-    whose 2P points are evaluated in one batch, ordered w0, z0, w1, z1, ...
+    where expected is product(w, z) and deviation |product(Tw, Tz) - expected|.
+    The 2P points are evaluated in one batch, ordered w0, z0, w1, z1, ...
 
     The rows are written into one (P, 4) array. The norms are the square
     roots of one einsum over the float view of `points`, as `sample_pairs`
     reads the radii."""
-    columns = np.empty((len(points), 4))
+    columns = np.empty((len(points), len(PAIR_COLUMNS)))
     reals = points.view(np.float64)
     norms = np.einsum("...k,...k->...", reals, reals, out=columns[:, :2])
     np.sqrt(norms, out=norms)

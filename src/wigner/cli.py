@@ -36,6 +36,7 @@ import numpy as np
 
 from . import dsl
 from .classifier import (
+    PAIR_COLUMNS,
     ClassifyConfig,
     align_global_phase,
     check_preservation,
@@ -75,9 +76,8 @@ def _closed(properties: dict, required=None) -> dict:
             "additionalProperties": False}
 
 
-_PAIR = _closed(
-    {"label": _STRING} | dict.fromkeys(["norm_w", "norm_z", "expected", "deviation"], _REAL)
-)
+#: A listed pair's fields, in the order of its CSV columns.
+_PAIR = _closed({"label": _STRING} | dict.fromkeys(PAIR_COLUMNS, _REAL))
 _PRESERVATION_BLOCK = _closed(
     {"pairs_tested": _INTEGER, "max_deviation": _REAL, "tolerance": _REAL,
      "passed": {"type": "boolean"}, "pairs": {"type": "array", "items": _PAIR}},
@@ -210,7 +210,10 @@ def _error_payload(exc: WignerError) -> tuple[int, dict]:
 def _preservation_payload(report, with_pairs: bool = False) -> dict:
     block = {key: getattr(report, key) for key in _PRESERVATION_BLOCK["required"]}
     if with_pairs:
-        block["pairs"] = [vars(record) for record in report.records]
+        block["pairs"] = [
+            {"label": label} | dict(zip(PAIR_COLUMNS, row))
+            for label, row in zip(report.labels, report.columns.tolist())
+        ]
     return block
 
 
@@ -307,7 +310,7 @@ def _cmd_diff(args) -> tuple[int, dict]:
     return 0, payload
 
 
-def _fuzz_instance(index: int, entry: dict, args) -> dict:
+def _fuzz_instance(index: int, entry: dict, config: ClassifyConfig) -> dict:
     record = {"index": index, "kind": entry["kind"], "n": entry["n"], "seed": entry["seed"]}
     symmetry = is_symmetry_kind(entry["kind"])
     if symmetry:
@@ -315,9 +318,8 @@ def _fuzz_instance(index: int, entry: dict, args) -> dict:
     if entry["n"] == 1:
         return record | {"status": "caveat_n1"}
     transform = transformation_from_entry(entry)
-    config = dataclasses.replace(_config_from_args(args), seed=args.seed + index)
     try:
-        result = classify(transform, config)
+        result = classify(transform, dataclasses.replace(config, seed=config.seed + index))
     except WignerError as exc:
         return record | {"status": "rejected", "error": exc.code}
     record["branch"] = result.branch
@@ -326,13 +328,14 @@ def _fuzz_instance(index: int, entry: dict, args) -> dict:
     # recovery threshold for the ground-truth comparison reuses --tol-unitary
     truth = transform.ground_truth
     record["residual"] = align_global_phase(result.operator, truth["matrix"]).aligned_residual
-    recovered = result.branch == truth["kind"] and record["residual"] < args.tol_unitary
+    recovered = result.branch == truth["kind"] and record["residual"] < config.tol_unitary
     return record | {"status": "recovered" if recovered else "mismatch"}
 
 
 def _cmd_fuzz(args) -> tuple[int, dict]:
     raw = json.loads(_read_text(args.manifest)) if args.manifest else default_manifest()
-    records = [_fuzz_instance(i, entry, args) for i, entry in enumerate(validate_manifest(raw))]
+    config = _config_from_args(args)
+    records = [_fuzz_instance(i, entry, config) for i, entry in enumerate(validate_manifest(raw))]
     tested = [r for r in records if r["status"] != "caveat_n1"]
     symmetries = [r["status"] for r in tested if is_symmetry_kind(r["kind"])]
     adversaries = [r["status"] for r in tested if not is_symmetry_kind(r["kind"])]
@@ -451,8 +454,7 @@ def _to_csv(report: dict) -> str:
         # a report refused on its manifest has no instances
         return _csv_listing(_FUZZ_INSTANCE["properties"], report.get("instances", []))
     if command == "check" and "preservation" in report:
-        pairs = report["preservation"]["pairs"]  # never empty: the specials come first
-        return _csv_listing(pairs[0].keys(), pairs)
+        return _csv_listing(_PAIR["properties"], report["preservation"]["pairs"])
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     if command == "diff":

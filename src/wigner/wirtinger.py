@@ -31,12 +31,11 @@ DEFAULT_STEP = 1e-5
 
 @dataclass
 class WirtingerJacobian:
-    """The pair (d_z T, d_zbar T) at a point, with the step that produced it."""
+    """The pair (d_z T, d_zbar T) at a point."""
 
     d_z: np.ndarray
     d_zbar: np.ndarray
     at: np.ndarray
-    step: float
 
     @property
     def d_z_norm(self) -> float:
@@ -87,7 +86,7 @@ def wirtinger_jacobian(
     df_dx, df_dy = _central_differences(transform, z, step, (1.0, 1j))
     # halved before the sum, which then stays below the largest float
     d_z, d_zbar = 0.5 * df_dx - 0.5j * df_dy, 0.5 * df_dx + 0.5j * df_dy
-    return WirtingerJacobian(d_z=d_z, d_zbar=d_zbar, at=z, step=float(step))
+    return WirtingerJacobian(d_z=d_z, d_zbar=d_zbar, at=z)
 
 
 def richardson_refine(
@@ -117,9 +116,7 @@ def richardson_refine(
     d_z, d_zbar = pairs[0]
     if not (np.isfinite(d_z).all() and np.isfinite(d_zbar).all()):
         raise NonFiniteEvaluation(f"Richardson combination at step {base_step:g} overflows")
-    return WirtingerJacobian(
-        d_z=d_z, d_zbar=d_zbar, at=ladder[0].at, step=float(base_step)
-    )
+    return WirtingerJacobian(d_z=d_z, d_zbar=d_zbar, at=ladder[0].at)
 
 
 @dataclass

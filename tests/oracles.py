@@ -15,9 +15,9 @@ batched evaluation may part.
 
 `reference_preservation` and `reference_isometry` are the pair samplers
 written as a loop: one draw per vector, then one radius per random vector,
-one record per pair, with
-`np.vdot` and `np.linalg.norm` on each pair. The array samplers must draw
-the same points and agree with them to roundoff.
+one row (norm_w, norm_z, expected, deviation) per pair, with `np.vdot` and
+`np.linalg.norm` on each pair. The array samplers must draw the same
+points and agree with them to roundoff.
 
 `reference_origin_phase` is `gauge.origin_phase` as first written: it
 re-validates the point with `as_state` and reads the three probe phases
@@ -35,7 +35,6 @@ import math
 
 import numpy as np
 
-from wigner.classifier import PairRecord
 from wigner.dsl import BinOp, Call, Literal, MatApply, Neg, TransformSpec, Var, walk
 from wigner.errors import DivisionNearZero, NotProbabilityPreserving
 from wigner.gauge import _PROBES, PRESERVE_TOL, wrap_angle
@@ -218,22 +217,16 @@ def _reference_state(n, rng):
 
 
 def _reference_pairs(transform, pairs, product, tol):
-    """(records, passed) for (label, w, z) pairs; all 2P points in one batch,
-    ordered w0, z0, w1, z1, ..."""
+    """(labels, columns, passed) for (label, w, z) pairs, with one columns row
+    (norm_w, norm_z, expected, deviation) per pair; all 2P points in one
+    batch, ordered w0, z0, w1, z1, ..."""
     images = transform(np.array([p for _, w, z in pairs for p in (w, z)]))
-    records = []
-    for (label, w, z), tw, tz in zip(pairs, images[0::2], images[1::2]):
+    rows = []
+    for (_, w, z), tw, tz in zip(pairs, images[0::2], images[1::2]):
         expected = product(w, z)
-        records.append(
-            PairRecord(
-                label=label,
-                norm_w=float(np.linalg.norm(w)),
-                norm_z=float(np.linalg.norm(z)),
-                expected=expected,
-                deviation=abs(product(tw, tz) - expected),
-            )
-        )
-    return records, max(r.deviation for r in records) < tol
+        rows.append((np.linalg.norm(w), np.linalg.norm(z), expected, abs(product(tw, tz) - expected)))
+    columns = np.array(rows)
+    return [label for label, _, _ in pairs], columns, bool(columns[:, -1].max() < tol)
 
 
 def _at_every_scale(directions, rng):
@@ -249,7 +242,7 @@ def _at_every_scale(directions, rng):
 
 
 def reference_preservation(transform, num_pairs, seed, tol):
-    """check_preservation, one pair at a time: (records, passed)."""
+    """check_preservation, one pair at a time: (labels, columns, passed)."""
     n = transform.dimension
     rng = np.random.default_rng(seed)
     anchor = _reference_state(n, rng)
@@ -267,7 +260,7 @@ def reference_preservation(transform, num_pairs, seed, tol):
 
 
 def reference_isometry(transform, num_pairs, seed, tol):
-    """mazurulam.check_isometry, one pair at a time: (records, passed)."""
+    """mazurulam.check_isometry, one pair at a time: (labels, columns, passed)."""
     n = transform.dimension
     rng = np.random.default_rng(seed)
     anchor = rng.standard_normal(n)

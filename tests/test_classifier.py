@@ -32,9 +32,9 @@ def test_check_preservation_scaling_fails_on_parallel_pair():
     transform = wg.Transformation(lambda z: 2.0 * z, 3)
     report = wg.check_preservation(transform, 10, seed=1, tol=1e-8)
     assert not report.passed
-    parallel = next(r for r in report.records if r.label == "parallel")
+    _, norm_z, _, deviation = report.columns[report.labels.index("parallel")]
     # |<2z|2z>| - |<z|z>| = 3 |z|^2
-    assert abs(parallel.deviation - 3.0 * parallel.norm_z**2) < 1e-9
+    assert abs(deviation - 3.0 * norm_z**2) < 1e-9
 
 
 def test_check_preservation_dressed_unitary():
@@ -107,11 +107,11 @@ def test_classify_smoothness_diagnostic_present():
 
 def test_decide_branch_mixed_raises():
     half = 0.5 * np.eye(2)
-    jac = WirtingerJacobian(d_z=half, d_zbar=half, at=np.zeros(2), step=1e-5)
+    jac = WirtingerJacobian(d_z=half, d_zbar=half, at=np.zeros(2))
     with pytest.raises(MixedBranch):
         _decide_branch(jac, tol_branch=1e-4)
     tiny = 1e-9 * np.eye(2)
-    jac = WirtingerJacobian(d_z=tiny, d_zbar=tiny, at=np.zeros(2), step=1e-5)
+    jac = WirtingerJacobian(d_z=tiny, d_zbar=tiny, at=np.zeros(2))
     with pytest.raises(MixedBranch):
         _decide_branch(jac, tol_branch=1e-4)
 

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import re
 import subprocess
@@ -12,6 +14,7 @@ import pytest
 
 import wigner as wg
 from wigner import dsl
+from wigner.classifier import PAIR_COLUMNS
 from wigner.errors import MAX_SAMPLES, SchemaError
 from wigner.cli import REPORT_SCHEMA, build_parser, main
 
@@ -147,13 +150,21 @@ def test_check_and_classify_report_one_preservation_failure(tmp_path, capsys, te
 
 @pytest.mark.parametrize("text", (IDENTITY, NORM_WARP))
 def test_check_pair_listing_holds_each_record(tmp_path, capsys, text):
-    spec = write_spec(tmp_path, text)
-    _, report = run_json(["check", "--spec", spec, "--samples", "7", "--seed", "3"], capsys)
+    # the identity lists its specials and 7 random pairs, the norm warp
+    # fails a special pair and lists the specials only
+    args = ["check", "--spec", write_spec(tmp_path, text), "--samples", "7", "--seed", "3"]
+    _, report = run_json(args, capsys)
     transform = wg.compile_to_transformation(wg.dsl.parse(text))
-    records = wg.check_preservation(transform, 7, 3, wg.gauge.PRESERVE_TOL).records
-    assert report["preservation"]["pairs"] == [dataclasses.asdict(r) for r in records]
-    _, out = run_cli(["check", "--spec", spec, "--format", "csv"], capsys)
-    assert out.splitlines()[0] == "label,norm_w,norm_z,expected,deviation"
+    sampled = wg.check_preservation(transform, 7, 3, wg.gauge.PRESERVE_TOL)
+    assert sampled.labels.count("random") == (7 if text == IDENTITY else 0)
+    rows = [[label, *row] for label, row in zip(sampled.labels, sampled.columns.tolist())]
+    pairs = report["preservation"]["pairs"]
+    assert [[pair[name] for name in ("label", *PAIR_COLUMNS)] for pair in pairs] == rows
+    assert all(pair.keys() == {"label", *PAIR_COLUMNS} for pair in pairs)
+    _, out = run_cli(args + ["--format", "csv"], capsys)
+    header, *listed = csv.reader(io.StringIO(out))
+    assert header == ["label", *PAIR_COLUMNS] == "label,norm_w,norm_z,expected,deviation".split(",")
+    assert listed == [[label, *map(repr, row)] for label, *row in rows]
 
 
 def test_diff_identity(tmp_path, capsys):
@@ -256,6 +267,7 @@ def test_mazur_ulam_rotation(tmp_path, capsys):
     expected = np.array([[1, -1], [1, 1]]) / np.sqrt(2)
     assert np.abs(recovered - expected).max() < 1e-9
     assert report["orthogonality_residual"] < 1e-9
+    assert "pairs" not in report["isometry"]  # only check lists its pairs
 
 
 def test_mazur_ulam_translation_exit_2(tmp_path, capsys):
@@ -264,6 +276,7 @@ def test_mazur_ulam_translation_exit_2(tmp_path, capsys):
     assert code == 2
     assert report["error"] == "not_isometry"
     assert report["isometry"]["passed"] is False
+    assert "pairs" not in report["isometry"]
     assert "preservation" not in report
 
 

@@ -3,7 +3,7 @@
 `check_preservation` and `check_isometry` score the special pairs row-wise
 as one batch and, only when all of them pass, draw every random pair in
 one call and score them as a second batch. `tests/oracles.py` keeps the
-loop, one draw per vector and one record per pair, as the reference: the
+loop, one draw per vector and one row per pair, as the reference: the
 points must be the same bits, labels, counts and verdicts the same (a
 failed special pair ends the listing), and the numbers equal to
 roundoff. The row-wise sums add in another order, so a product moves by
@@ -69,17 +69,14 @@ def recorded(transform):
     return type(transform)(evaluator, transform.dimension, vectorized=True), batches
 
 
-def close(value, reference, scale):
-    return abs(value - reference) <= 1e-13 * max(1.0, abs(reference), scale)
-
-
-def assert_records_close(records, records_ref, images, where):
+def assert_columns_close(columns, columns_ref, images, where):
+    # each entry within 1e-13 * max(1, |reference|, |w||z| + |Tw||Tz|)
     image_norms = np.linalg.norm(images, axis=-1).prod(axis=1)
-    assert len(records) == len(records_ref) == len(image_norms), where
-    for got, ref, image_norm in zip(records, records_ref, image_norms):
-        scale = ref.norm_w * ref.norm_z + image_norm
-        for key in ("norm_w", "norm_z", "expected", "deviation"):
-            assert close(getattr(got, key), getattr(ref, key), scale), (where, got, ref)
+    assert columns.shape == columns_ref.shape == (len(image_norms), 4), where
+    scale = (columns_ref[:, 0] * columns_ref[:, 1] + image_norms)[:, None]
+    bound = 1e-13 * np.maximum(np.maximum(1.0, np.abs(columns_ref)), scale)
+    close = np.abs(columns - columns_ref) <= bound
+    assert close.all(), (where, np.argwhere(~close), columns[~close], columns_ref[~close])
 
 
 @pytest.mark.parametrize("num_pairs", (1, 50, 333))
@@ -95,26 +92,25 @@ def test_array_sampler_matches_the_loop(sampler, n, num_pairs):
             watched, batches = recorded(transform)
             report = sample(watched, num_pairs, seed, TOL)
             watched_ref, batches_ref = recorded(transform)
-            records_ref, passed_ref = reference(watched_ref, num_pairs, seed, TOL)
+            labels_ref, columns_ref, passed_ref = reference(watched_ref, num_pairs, seed, TOL)
             where = (name, seed)
             assert len(batches_ref) == 1, where
-            specials = sum(r.label != "random" for r in records_ref)
-            if max(r.deviation for r in records_ref[:specials]) < TOL:
+            specials = labels_ref.index("random")
+            if columns_ref[:specials, -1].max() < TOL:
                 sizes = [2 * specials, len(batches_ref[0]) - 2 * specials]
                 assert [len(b) for b in batches] == sizes, where
                 assert np.array_equal(np.concatenate(batches), batches_ref[0]), where
             else:
                 assert [len(b) for b in batches] == [2 * specials], where
                 assert np.array_equal(batches[0], batches_ref[0][: 2 * specials]), where
-                records_ref = records_ref[:specials]
+                labels_ref, columns_ref = labels_ref[:specials], columns_ref[:specials]
             assert all(b.dtype == batches_ref[0].dtype for b in batches), where
-            records = report.records
-            assert [r.label for r in records] == [r.label for r in records_ref], where
-            assert report.pairs_tested == len(records_ref), where
+            assert report.labels == labels_ref, where
+            assert report.pairs_tested == len(labels_ref), where
             assert report.passed == passed_ref, where
-            assert report.max_deviation == max(r.deviation for r in records), where
+            assert report.max_deviation == report.columns[:, -1].max(), where
             images = transform(np.concatenate(batches)).reshape(-1, 2, n)
-            assert_records_close(records, records_ref, images, where)
+            assert_columns_close(report.columns, columns_ref, images, where)
 
 
 def radial_defect(n, radius):
@@ -133,9 +129,11 @@ def radial_defect(n, radius):
 @pytest.mark.parametrize("n, seed", ((1, 0), (2, 1), (8, 18)))
 def test_a_defect_only_random_pairs_reach_fails_in_the_second_batch(n, seed):
     num_pairs = 50
-    records_ref, _ = reference_preservation(wg.make_symmetry("linear", np.eye(n)), 1, seed, TOL)
-    specials = [r for r in records_ref if r.label != "random"]
-    radius = max(max(r.norm_w, r.norm_z) for r in specials)
+    labels_ref, columns_ref, _ = reference_preservation(
+        wg.make_symmetry("linear", np.eye(n)), 1, seed, TOL
+    )
+    specials = columns_ref[: labels_ref.index("random")]
+    radius = specials[:, :2].max()
     defect = radial_defect(n, radius)
     watched, batches = recorded(defect)
     report = wg.check_preservation(watched, num_pairs, seed, TOL)
@@ -148,10 +146,10 @@ def test_a_defect_only_random_pairs_reach_fails_in_the_second_batch(n, seed):
     columns = report.columns
     assert columns[: len(specials), -1].max() == 0.0
     assert report.max_deviation == columns[len(specials) :, -1].max() > 1.0
-    records_ref, passed_ref = reference_preservation(defect, num_pairs, seed, TOL)
+    _, columns_ref, passed_ref = reference_preservation(defect, num_pairs, seed, TOL)
     assert not passed_ref
     images = defect(np.concatenate(batches)).reshape(-1, 2, n)
-    assert_records_close(report.records, records_ref, images, n)
+    assert_columns_close(columns, columns_ref, images, n)
     with pytest.raises(NotASymmetry) as refused:
         wg.classify(defect, wg.ClassifyConfig(samples=num_pairs, seed=seed))
     assert refused.value.report.pairs_tested == report.pairs_tested
