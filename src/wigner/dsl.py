@@ -90,6 +90,10 @@ _DIVISOR_FLOOR = 1e-300
 #: (dataclass ==/hash, format_expression) stays within Python's limit.
 MAX_DEPTH = 100
 
+#: Binding strength of each binary operator; the parser climbs it and the
+#: printer parenthesises by it (a unary minus binds at 3, an atom at 4).
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
 
 # ---------------------------------------------------------------------------
 # syntax trees
@@ -213,13 +217,14 @@ class _Parser:
     A punctuation token is told by its text alone, which no other token
     has. Each parse_* method parses a node at `level` (root 1) and returns
     it with its deepest leaf's level; `nest` keeps that within MAX_DEPTH,
-    and an operator pushes its operands down.
+    and an operator pushes its operands down. An index is compared with
+    `bound` as text, since one too long for int() is out of range too.
     """
 
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.tok = next(self.tokens)
-        self.dimension = 0  # of the variables, once known
+        self.bound = ()  # (digits, decimal) of the dimension, once known
 
     def fail(self, message: str, tok, expected=()):
         raise ParseError(message, tok[2], tok[3], expected)
@@ -237,20 +242,16 @@ class _Parser:
             self.fail(f"expression nests deeper than {MAX_DEPTH} levels", tok)
         return level + 1
 
-    def parse_expression(self, level: int = 1):
-        node, reach = self.parse_term(level)
-        while (op := self.tok)[1] == "+" or op[1] == "-":
-            self.tok = next(self.tokens)
-            right, right_reach = self.parse_term(level)
-            reach = self.nest(op, max(reach, right_reach))
-            node = BinOp(op[1], node, right, (op[2], op[3]))
-        return node, reach
+    def parse_expression(self, level: int = 1, tightest: int = 1):
+        """Operators binding at least as tightly as `tightest`, left to right.
 
-    def parse_term(self, level: int):
+        Precedence climbing: a right operand takes only operators that bind
+        tighter than its own, so equal ones associate to the left.
+        """
         node, reach = self.parse_factor(level)
-        while (op := self.tok)[1] == "*" or op[1] == "/":
+        while (binding := _PRECEDENCE.get((op := self.tok)[1], 0)) >= tightest:
             self.tok = next(self.tokens)
-            right, right_reach = self.parse_factor(level)
+            right, right_reach = self.parse_expression(level, binding + 1)
             reach = self.nest(op, max(reach, right_reach))
             node = BinOp(op[1], node, right, (op[2], op[3]))
         return node, reach
@@ -285,11 +286,10 @@ class _Parser:
             return Call(text, args, (line, column)), reach
         var = _VAR(text)
         if var:
-            index = int(var[1])
-            if self.dimension and index > self.dimension:
-                message = f"variable z{index} out of range for dimension {self.dimension}"
+            if self.bound and (len(var[1]), var[1]) > self.bound:
+                message = f"variable z{var[1]} out of range for dimension {self.bound[1]}"
                 raise UnknownIdentifier(message, line, column)
-            return Var(index, (line, column)), level
+            return Var(int(var[1]), (line, column)), level
         if text == "i":
             return Literal(1j, (line, column)), level
         if text == "mat":
@@ -318,11 +318,15 @@ def parse(source: str) -> TransformSpec:
     if dim_tok[0] != "number" or not dim_tok[1].isdigit():
         parser.fail(f"expected an integer, found {_found(dim_tok)}", dim_tok, ("integer",))
     parser.tok = next(parser.tokens)
-    dimension = int(dim_tok[1])
+    try:
+        dimension = int(dim_tok[1])
+    except ValueError:  # past the interpreter's limit on digits read
+        parser.fail("dimension has too many digits", dim_tok)
     if dimension < 1:
         parser.fail("dimension must be at least 1", dim_tok)
     parser.expect(";")
-    parser.dimension = dimension
+    decimal = str(dimension)
+    parser.bound = (len(decimal), decimal)
 
     outputs: dict[int, object] = {}
     while (tok := parser.tok)[0] != "eof":
@@ -330,9 +334,9 @@ def parse(source: str) -> TransformSpec:
         if target is None:
             found = f"found {tok[1]!r}"
             parser.fail(f"expected an output assignment 'T<k> = ...;', {found}", tok, ("T<k>",))
+        if (len(target[1]), target[1]) > parser.bound:
+            raise DimensionMismatch(f"output T{target[1]} out of range for dimension {dimension}")
         index = int(target[1])
-        if index > dimension:
-            raise DimensionMismatch(f"output T{index} out of range for dimension {dimension}")
         if index in outputs:
             parser.fail(f"output T{index} assigned twice", tok)
         parser.tok = next(parser.tokens)
@@ -340,9 +344,9 @@ def parse(source: str) -> TransformSpec:
         outputs[index] = parser.parse_expression()[0]
         parser.expect(";")
 
-    missing = [k for k in range(1, dimension + 1) if k not in outputs]  # none past n, none twice
-    if missing:
-        message = f"{len(outputs)} outputs for dimension {dimension} (missing T{missing[0]})"
+    if len(outputs) < dimension:  # none past n, none twice: one of T1..T(len + 1) is missing
+        missing = next(k for k in range(1, len(outputs) + 2) if k not in outputs)
+        message = f"{len(outputs)} outputs for dimension {dimension} (missing T{missing})"
         raise DimensionMismatch(message)
     return TransformSpec(dimension, tuple(outputs[k] for k in range(1, dimension + 1)))
 
@@ -356,7 +360,7 @@ def _divide(pos: tuple[int, int], left, right):
     return left / right
 
 
-_STEPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "neg": operator.neg}
+_STEPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _STEPS.update(FUNCTIONS)
 
 
@@ -370,59 +374,44 @@ def _program(trees, constants=None) -> tuple:
     step, in the order the trees first reach it; `mat(NAME)` is one shared
     `z @ M.T` step plus a column step per row. Output k is `roots[k]`.
     """
-    slots: dict[tuple, int] = {}  # (tag, operand slot, operand slot or column)
+    slots: dict[tuple, int] = {}  # (tag, operand slot or name, operand slot or column)
     values: list = [None]
     steps: list[tuple] = []
-    products: dict[str, int] = {}  # matrix name -> slot of z @ M.T; M.T is one before
 
-    def add(fn, a=-1, b=-1, value=None) -> int:
-        values.append(value)
-        if fn is not None:
-            steps.append((len(values) - 1, fn, a, b))
-        return len(values) - 1
+    def slot(key, fn=None, a=-1, b=-1, value=None) -> int:
+        """The slot of `key`, added with its step or value on first use."""
+        got = slots.get(key)
+        if got is None:
+            got = slots[key] = len(values)
+            values.append(value)
+            if fn is not None:
+                steps.append((got, fn, a, b))
+        return got
 
-    roots = []
-    for row, tree in enumerate(trees):
-        order, stack = [], [tree]
-        while stack:  # each node before its operands, right ones first
-            node = stack.pop()
-            order.append(node)
-            operands = _OPERANDS.get(type(node))
-            if operands is not None:
-                stack.extend(operands(node))
-        done: list[int] = []  # slots of the finished operands
-        for node in reversed(order):
-            kind = type(node)
-            if kind is BinOp:
-                right = done.pop()
-                key = (node.op, done.pop(), right)
-            elif kind is Call:
-                key = (node.func, done.pop() if node.args else 0, -1)  # norm2() reads slot 0
-            elif kind is Var:
-                key = ("col", 0, node.index - 1)
-            elif kind is MatApply:
-                product = products.get(node.name)
-                if product is None:
-                    product = products[node.name] = add(operator.matmul, 0, add(None))
-                key = ("col", product, row)
-            elif kind is Neg:
-                key = ("neg", done.pop(), -1)
-            else:
-                key = ("lit", repr(node.value), -1)
-            got = slots.get(key)
-            if got is None:
-                tag, a, b = key
-                if tag == "lit":
-                    got = add(None, value=node.value)
-                elif tag == "col":
-                    got = add(operator.itemgetter((..., b)), a)
-                else:
-                    got = add(partial(_divide, node.pos) if tag == "/" else _STEPS[tag], a, b)
-                slots[key] = got
-            done.append(got)
-        roots.append(done[0])
+    def lower(node, row: int) -> int:
+        """The slot of `node`, its operands lowered first, left to right."""
+        kind = type(node)
+        if kind is BinOp:
+            a, b = lower(node.left, row), lower(node.right, row)
+            fn = partial(_divide, node.pos) if node.op == "/" else _STEPS[node.op]
+            return slot((node.op, a, b), fn, a, b)
+        if kind is Call:
+            a = lower(node.args[0], row) if node.args else 0  # norm2() reads slot 0
+            return slot((node.func, a, -1), _STEPS[node.func], a)
+        if kind is Neg:
+            a = lower(node.operand, row)
+            return slot(("neg", a, -1), operator.neg, a)
+        if kind is Var:
+            return slot(("col", 0, node.index - 1), operator.itemgetter((..., node.index - 1)), 0)
+        if kind is MatApply:
+            matrix = slot(("mat", node.name, -1))  # M.T, set once resolved below
+            product = slot(("@", 0, matrix), operator.matmul, 0, matrix)
+            return slot(("col", product, row), operator.itemgetter((..., row)), product)
+        return slot(("lit", repr(node.value), -1), value=node.value)
+
+    roots = [lower(tree, row) for row, tree in enumerate(trees)]
     available, shape = constants or {}, (len(trees), len(trees))
-    for name in sorted(products):
+    for name, at in sorted((key[1], at) for key, at in slots.items() if key[0] == "mat"):
         if name not in available:
             raise UnknownMatrix(f"matrix {name!r} not found in constants")
         m = as_array(available[name], f"matrix {name!r}")
@@ -430,7 +419,7 @@ def _program(trees, constants=None) -> tuple:
             raise DimensionMismatch(f"matrix {name!r} has shape {m.shape}, expected {shape}")
         if not np.isfinite(m).all():
             raise SchemaError(f"matrix {name!r} has a non-finite entry")
-        values[products[name] - 1] = m.T
+        values[at] = m.T
     return values, steps, roots
 
 
@@ -493,9 +482,6 @@ def parse_constant(text: str) -> complex:
 
 # ---------------------------------------------------------------------------
 # pretty printer
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
-
 
 def _prec(node) -> int:
     if isinstance(node, BinOp):

@@ -11,8 +11,16 @@ check did not close) are legitimate analysis outcomes: exit code 2, the
 default, and the CLI still emits a diagnostic report. A failed sampling
 check attaches its report as `.report` (None otherwise).
 
-Every verdict check passes by one rule, `WignerError.unless_below`: its
-value must be below its tolerance, so a NaN fails too. Every setting
+A verdict check on a measured value passes by one rule,
+`WignerError.unless_below`: its value must be below its tolerance, so a
+NaN fails too. Preservation, unitarity, reconstruction, the fixed origin,
+the isometry, orthogonality, a real map's imaginary part and a
+generator's unitary input pass through it. Six checks raise by hand
+instead: `gauge._theta_from` (NotProbabilityPreserving), the residual-phase
+self-check of `gauge_fix` (NotProbabilityPreserving),
+`classifier._decide_branch` (MixedBranch, a two-sided test), the
+DegeneratePair checks of `extract_theta` and of `origin_phase`, and
+`align_global_phase` (ZeroReference). Every setting
 passes by one table, `setting_problem`: every module reads its bounds
 through `require_settings`, which raises SchemaError.
 """

@@ -117,9 +117,16 @@ def test_division_near_zero():
 
 
 def test_unknown_matrix_at_compile():
-    spec = dsl.parse("dim 2; T1 = mat(W); T2 = z2;")
-    with pytest.raises(UnknownMatrix):
-        dsl.compile_to_transformation(spec, CONSTANTS)
+    cases = [
+        ("dim 2; T1 = mat(W); T2 = z2;", CONSTANTS, "W"),
+        # matrices resolve in sorted-name order, not in the order first used
+        ("dim 2; T1 = mat(B); T2 = mat(A);", None, "A"),
+    ]
+    for source, constants, name in cases:
+        spec = dsl.parse(source)
+        with pytest.raises(UnknownMatrix) as err:
+            dsl.compile_to_transformation(spec, constants)
+        assert str(err.value) == f"matrix {name!r} not found in constants"
 
 
 def test_matrix_shape_checked():
@@ -158,6 +165,16 @@ def test_parse_constant():
 def test_golden_canonical_form():
     spec = dsl.parse(GOLDEN_SOURCE)
     assert dsl.pretty_print(spec) == GOLDEN_SOURCE
+
+
+@pytest.mark.parametrize(
+    "expression", ["z1 - z1 - z1", "z1 / z1 * z1", "z1 + z1 * z1 - z1", "-z1 * z1", "z1 - -z1 / z1"]
+)
+def test_left_nested_chain_prints_back_unchanged(expression):
+    # the printer brackets a right operand of equal precedence, so an
+    # unbracketed chain prints back as itself only if it parsed left-nested
+    tree = dsl.parse(f"dim 1; T1 = {expression};").outputs[0]
+    assert dsl.format_expression(tree) == expression
 
 
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.stem)
@@ -247,8 +264,16 @@ def test_shared_phase_reads_each_row_of_mat():
         (" + ".join(["0.001*z1"] * 1200), 5 + 98 * 11 + 10),  # the 99th '+'
         ("(" * 400 + "z1" + ")" * 400, 5 + 100),  # the 100th '('
         ("-" * 1200 + "z1", 5 + 100),  # the 100th '-'
+        # mixed precedences and groups count against the same limit
+        (" + ".join(["z1*z1"] * 200), 796),
+        (" - ".join(["z1/z1*z1"] * 120), 1082),
+        ("*".join(["(z1 - z1)"] * 150), 985),
+        (" + ".join(["-z1*sin(z1)"] * 150), 1376),
     ],
-    ids=["long_sum", "nested_parentheses", "chained_minus"],
+    ids=[
+        "long_sum", "nested_parentheses", "chained_minus",
+        "sum_of_products", "difference_of_quotients", "product_of_groups", "sum_of_negated_products",
+    ],
 )
 def test_too_deep_expression_is_refused_at_its_token(expression, column):
     with pytest.raises(ParseError) as err:
@@ -376,6 +401,14 @@ MALFORMED = {
         "dim 1;\nT1 = " + "sin(" * 150 + "z1" + ")" * 150 + ";",
         ParseError, "expression nests deeper than 100 levels", 2, 402, (),
     ),
+    # past the 4300 digits int() reads: out of range without a conversion
+    "variable_index_of_5000_digits": (
+        "dim 1;\nT1 = z" + "1" * 5000 + ";",
+        UnknownIdentifier, f"variable z{'1' * 5000} out of range for dimension 1", 2, 6, (),
+    ),
+    "dimension_of_5000_digits": (
+        "dim " + "1" * 5000 + ";\nT1 = z1;", ParseError, "dimension has too many digits", 1, 5, ()
+    ),
 }
 
 
@@ -393,6 +426,18 @@ def test_malformed_source_is_refused_exactly(source, kind, message, line, column
     [
         ("dim 2;\nT1 = z1;\nT3 = z2;", "output T3 out of range for dimension 2"),
         ("dim 2;\nT1 = z1;\n", "1 outputs for dimension 2 (missing T2)"),
+        # the missing output is named without a pass over the dimension
+        pytest.param(
+            "dim 1000000000000000000; T1 = z1;",
+            "1 outputs for dimension 1000000000000000000 (missing T2)",
+            id="missing_output_of_huge_dimension",
+        ),
+        # past the 4300 digits int() reads: out of range without a conversion
+        pytest.param(
+            "dim 1; T" + "1" * 5000 + " = z1;",
+            f"output T{'1' * 5000} out of range for dimension 1",
+            id="output_index_of_5000_digits",
+        ),
     ],
 )
 def test_output_set_mismatch_is_a_dimension_error(source, message):
