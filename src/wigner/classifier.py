@@ -4,7 +4,7 @@ decision from the origin Jacobian, operator reconstruction, residuals.
 The pipeline for `classify`:
 
 1. sample the modulus-preservation condition (NotASymmetry on failure);
-2. gauge-fix the map;
+2. gauge-fix the map (MixedBranch when a residual origin phase survives);
 3. take the Wirtinger Jacobian of the fixed map at the origin
    (Richardson level 1, where accuracy matters most);
 4. exactly one block must be negligible: d_zbar ~ 0 gives the linear

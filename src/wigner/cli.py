@@ -27,6 +27,7 @@ import functools
 import io
 import json
 import math
+import pathlib
 import sys
 import time
 from datetime import datetime, timezone
@@ -44,11 +45,11 @@ from .classifier import (
     require_preserved,
 )
 from .errors import (
-    DimensionMismatch, NotASymmetry, NotIsometry, WignerError, require_settings
+    DimensionMismatch, NotASymmetry, NotIsometry, SchemaError, WignerError, require_settings
 )
 from .generators import (
+    SYMMETRY_KINDS,
     default_manifest,
-    is_symmetry_kind,
     transformation_from_entry,
     validate_manifest,
 )
@@ -220,13 +221,8 @@ def _preservation_payload(report, with_pairs: bool = False) -> dict:
 # ---------------------------------------------------------------------------
 # input loading
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load_transformation(args):
-    spec = dsl.parse(_read_text(args.spec))
+    spec = dsl.parse(pathlib.Path(args.spec).read_text(encoding="utf-8"))
     constants = dsl.load_constants(args.constants) if args.constants else None
     return dsl.compile_to_transformation(spec, constants)
 
@@ -312,7 +308,7 @@ def _cmd_diff(args) -> tuple[int, dict]:
 
 def _fuzz_instance(index: int, entry: dict, config: ClassifyConfig) -> dict:
     record = {"index": index, "kind": entry["kind"], "n": entry["n"], "seed": entry["seed"]}
-    symmetry = is_symmetry_kind(entry["kind"])
+    symmetry = entry["kind"] in SYMMETRY_KINDS
     if symmetry:
         record["dressing_degree"] = entry.get("dressing_degree", 0)
     if entry["n"] == 1:
@@ -333,12 +329,20 @@ def _fuzz_instance(index: int, entry: dict, config: ClassifyConfig) -> dict:
 
 
 def _cmd_fuzz(args) -> tuple[int, dict]:
-    raw = json.loads(_read_text(args.manifest)) if args.manifest else default_manifest()
+    if args.manifest:
+        text = pathlib.Path(args.manifest).read_text(encoding="utf-8")
+        try:
+            raw = json.loads(text)
+        # not JSON, nested past the recursion limit, or an integer past int()'s digits
+        except (ValueError, RecursionError) as exc:
+            raise SchemaError(str(exc)) from exc
+    else:
+        raw = default_manifest()
     config = _config_from_args(args)
     records = [_fuzz_instance(i, entry, config) for i, entry in enumerate(validate_manifest(raw))]
     tested = [r for r in records if r["status"] != "caveat_n1"]
-    symmetries = [r["status"] for r in tested if is_symmetry_kind(r["kind"])]
-    adversaries = [r["status"] for r in tested if not is_symmetry_kind(r["kind"])]
+    symmetries = [r["status"] for r in tested if r["kind"] in SYMMETRY_KINDS]
+    adversaries = [r["status"] for r in tested if r["kind"] not in SYMMETRY_KINDS]
     counts = {
         "symmetries": len(symmetries),
         "recovered": symmetries.count("recovered"),
@@ -440,36 +444,32 @@ def _to_json(report: dict) -> str:
     return json.dumps(_finite_or_null(report), allow_nan=False, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_listing(fields, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fields, restval="", lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
 def _to_csv(report: dict) -> str:
+    """One header and its rows: a fuzz report's instances, a check report's
+    pairs, a diff report's Jacobian entries, or else the scalar row."""
     command = report["config_echo"]["command"]
     if command == "fuzz":
+        header = list(_FUZZ_INSTANCE["properties"])
         # a report refused on its manifest has no instances
-        return _csv_listing(_FUZZ_INSTANCE["properties"], report.get("instances", []))
-    if command == "check" and "preservation" in report:
-        return _csv_listing(_PAIR["properties"], report["preservation"]["pairs"])
+        rows = [[row.get(key, "") for key in header] for row in report.get("instances", [])]
+    elif command == "check" and "preservation" in report:
+        header = list(_PAIR["properties"])
+        rows = [[row[key] for key in header] for row in report["preservation"]["pairs"]]
+    elif command == "diff":
+        header = ["row", "col", "d_z_re", "d_z_im", "d_zbar_re", "d_zbar_im"]
+        d_z, d_zbar = report.get("d_z", []), report.get("d_zbar", [])
+        rows = [[r, c, *vz, *vb] for r, (row_z, row_b) in enumerate(zip(d_z, d_zbar))
+                for c, (vz, vb) in enumerate(zip(row_z, row_b))]
+    else:
+        fields = [key for key, field in _FIELDS.items() if field.csv and key in report]
+        block = report.get("preservation", report.get("isometry"))
+        extras = ["pairs_tested", "max_deviation"] if block else []
+        header = fields + extras
+        rows = [[report[f] for f in fields] + [block[e] for e in extras]]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    if command == "diff":
-        writer.writerow(["row", "col", "d_z_re", "d_z_im", "d_zbar_re", "d_zbar_im"])
-        d_z = report.get("d_z", [])
-        d_zbar = report.get("d_zbar", [])
-        for r, (row_z, row_b) in enumerate(zip(d_z, d_zbar)):
-            for c, (vz, vb) in enumerate(zip(row_z, row_b)):
-                writer.writerow([r, c, vz[0], vz[1], vb[0], vb[1]])
-        return buffer.getvalue()
-    fields = [key for key, field in _FIELDS.items() if field.csv and key in report]
-    block = report.get("preservation", report.get("isometry"))
-    extras = ["pairs_tested", "max_deviation"] if block else []
-    writer.writerow(fields + extras)
-    writer.writerow([report[f] for f in fields] + [block[e] for e in extras])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
@@ -555,10 +555,8 @@ def main(argv=None) -> int:
         code, payload = _COMMANDS[args.command].handler(args)
     except WignerError as exc:
         code, payload = _error_payload(exc)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # an input file unread, or not UTF-8
         code, payload = 1, {"error": "io_error", "detail": str(exc)}
-    except json.JSONDecodeError as exc:
-        code, payload = 1, {"error": "schema_error", "detail": str(exc)}
     _emit(_assemble(payload, args, started), args)
     return code
 

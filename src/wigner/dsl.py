@@ -289,7 +289,8 @@ class _Parser:
             if self.bound and (len(var[1]), var[1]) > self.bound:
                 message = f"variable z{var[1]} out of range for dimension {self.bound[1]}"
                 raise UnknownIdentifier(message, line, column)
-            return Var(int(var[1]), (line, column)), level
+            # a constant expression (no bound) refuses every variable once parsed
+            return Var(int(var[1]) if self.bound else 0, (line, column)), level
         if text == "i":
             return Literal(1j, (line, column)), level
         if text == "mat":
@@ -539,10 +540,12 @@ def pretty_print(spec: TransformSpec) -> str:
 def load_constants(path) -> dict[str, np.ndarray]:
     """Load a JSON constants file: {name: [[[re, im], ...] per row, ...]}."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"constants file is not valid JSON: {exc}") from exc
+        text = fh.read()
+    try:
+        raw = json.loads(text)
+    # not JSON, nested past the recursion limit, or an integer past int()'s digits
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"constants file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("constants file must be a JSON object")
     constants = {}

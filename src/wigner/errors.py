@@ -17,7 +17,7 @@ NaN fails too. Preservation, unitarity, reconstruction, the fixed origin,
 the isometry, orthogonality, a real map's imaginary part and a
 generator's unitary input pass through it. Six checks raise by hand
 instead: `gauge._theta_from` (NotProbabilityPreserving), the residual-phase
-self-check of `gauge_fix` (NotProbabilityPreserving),
+self-check of `gauge_fix` (MixedBranch: it measures a phase, not a modulus),
 `classifier._decide_branch` (MixedBranch, a two-sided test), the
 DegeneratePair checks of `extract_theta` and of `origin_phase`, and
 `align_global_phase` (ZeroReference). Every setting

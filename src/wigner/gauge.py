@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     DegeneratePair,
     DimensionMismatch,
+    MixedBranch,
     NonFiniteEvaluation,
     NotProbabilityPreserving,
     OriginNotFixed,
@@ -191,7 +192,9 @@ def gauge_fix(
     re-measured on REFERENCE_SAMPLES points drawn from `seed`, whose probes
     the fixed map evaluates as one batch, and must vanish within
     RESIDUAL_PHASE_TOL, which it does for any map preserving overlap
-    moduli; a violation is reported as NotProbabilityPreserving.
+    moduli whose phase is smooth enough at the origin; a violation measures
+    a phase, not a modulus, and is reported as MixedBranch (not
+    gauge-fixable).
 
     The wrapped evaluator returns exactly 0 at z = 0 and
     exp(i*alpha(z)) * T(z) elsewhere, with alpha(z) = -origin_phase(z)
@@ -253,9 +256,7 @@ def gauge_fix(
     for z, z_images in zip(references, images):
         residual = origin_phase(fixed, z, preserve_tol, images=z_images)
         if angle_distance(residual, 0.0) > RESIDUAL_PHASE_TOL:
-            raise NotProbabilityPreserving(
-                f"residual origin phase {residual:.3g} after gauge fixing"
-            )
+            raise MixedBranch(f"residual origin phase {residual:.3g} after gauge fixing")
     return fixed
 
 

@@ -151,10 +151,6 @@ def make_adversary(kind: str, n: int, seed: int) -> Transformation:
     )
 
 
-def is_symmetry_kind(kind: str) -> bool:
-    return kind in SYMMETRY_KINDS
-
-
 def default_manifest() -> list[dict]:
     """Built-in fuzz corpus: 40 dressed symmetries (dims 2-8) + 10 adversaries."""
     entries = []

@@ -28,9 +28,14 @@ the same floats and raise the same errors wherever this one is defined.
 call for the +-h offsets along the real axes, then one for the +-i*h
 offsets along the imaginary axes. The one-batch stencil evaluates the
 same points and must agree with it to roundoff.
+
+`hash_phase_symmetry` is not an oracle but a map every check must face:
+a true Wigner symmetry whose phase is continuous nowhere, outside the
+paper's smoothness hypothesis.
 """
 
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -38,7 +43,7 @@ import numpy as np
 from wigner.dsl import BinOp, Call, Literal, MatApply, Neg, TransformSpec, Var, walk
 from wigner.errors import DivisionNearZero, NotProbabilityPreserving
 from wigner.gauge import _PROBES, PRESERVE_TOL, wrap_angle
-from wigner.states import as_state
+from wigner.states import Transformation, as_state
 
 
 def _forward(node, z, row, mats):
@@ -311,3 +316,18 @@ def reference_wirtinger_jacobian(transform, at, step):
     df_dx = _reference_central_differences(transform, z, step, 1.0)
     df_dy = _reference_central_differences(transform, z, step, 1j)
     return 0.5 * (df_dx - 1j * df_dy), 0.5 * (df_dx + 1j * df_dy)
+
+
+def hash_phase_symmetry(kind: str, u: np.ndarray) -> Transformation:
+    """z -> exp(i phi(z)) U z (linear) or ... U conj(z) (antilinear), with
+    phi(z) in [0, 2 pi) read off the SHA-256 hash of z's bytes: every overlap
+    modulus is preserved exactly, and phi is continuous nowhere."""
+    flip = np.conj if kind == "antilinear" else np.asarray
+
+    def evaluator(z):
+        rows = z.reshape(-1, z.shape[-1])
+        hashes = [hashlib.sha256(row.tobytes()).digest()[:8] for row in rows]
+        phi = np.array([int.from_bytes(h, "little") for h in hashes]) * (2.0 * math.pi / 2**64)
+        return (np.exp(1j * phi)[:, None] * (flip(rows) @ u.T)).reshape(z.shape)
+
+    return Transformation(evaluator, u.shape[0], vectorized=True)

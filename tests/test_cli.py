@@ -1,16 +1,20 @@
+import contextlib
 import csv
 import dataclasses
 import io
 import json
+import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wigner as wg
 from wigner import dsl
@@ -18,6 +22,9 @@ from wigner.classifier import PAIR_COLUMNS
 from wigner.errors import MAX_SAMPLES, SchemaError
 from wigner.cli import REPORT_SCHEMA, build_parser, main
 
+from test_dsl_properties import spaced_sources
+
+CORPUS = pathlib.Path(__file__).parent / "corpus"
 CONJUGATION = "dim 2;\nT1 = conj(z1);\nT2 = conj(z2);\n"
 SCALING = "dim 2;\nT1 = 2.0 * z1;\nT2 = 2.0 * z2;\n"
 IDENTITY = "dim 2;\nT1 = z1;\nT2 = z2;\n"
@@ -822,6 +829,45 @@ def test_fuzz_manifest_that_is_not_json_is_schema_error(tmp_path, capsys):
     assert (code, report["error"]) == (1, "schema_error")
 
 
+def test_point_with_an_index_past_int_digits_is_parse_error(capsys):
+    # int() reads at most 4300 digits; a constant refuses any variable once parsed
+    spec = str(CORPUS / "analytic_identity.wig")
+    code = main(["diff", "--spec", spec, "--point", "z" + "1" * 5000, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    report = json.loads(captured.out)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert report["error"] == "parse_error"
+    assert report["detail"] == "1:1: constant expressions cannot reference the state"
+
+
+#: file contents, and the report code each gives as a spec, as constants and as a manifest
+NOT_JSON = ("parse_error", "schema_error", "schema_error")
+UNREADABLE = {
+    "not_utf8": (b"\xff\xfe", ("io_error", "io_error", "io_error")),
+    "integer_past_int_digits": (b"[" + b"1" * 5000 + b"]", NOT_JSON),
+    "nested_past_the_recursion_limit": (b"[" * 100_000, NOT_JSON),
+}
+
+
+@pytest.mark.parametrize("content, codes", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_unreadable_input_file_is_a_typed_error(tmp_path, capsys, content, codes):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    spec = write_spec(tmp_path, IDENTITY)
+    for args, code in zip(
+        (["check", "--spec", str(path)], ["check", "--spec", spec, "--constants", str(path)],
+         ["fuzz", "--manifest", str(path)]),
+        codes,
+    ):
+        assert main(args + ["--no-timestamp"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert report["error"] == code
+
+
 def test_diff_levels_above_4_is_schema_error(tmp_path, capsys):
     spec = write_spec(tmp_path, IDENTITY)
     code, report = run_json(["diff", "--spec", spec, "--levels", "5"], capsys)
@@ -935,3 +981,115 @@ def test_report_schema_refuses_an_undeclared_field(tmp_path, capsys, block):
     find(report)["bogus"] = 1
     with pytest.raises(jsonschema.ValidationError, match="bogus"):
         jsonschema.validate(report, REPORT_SCHEMA)
+
+
+# ---------------------------------------------------------------------------
+# a guard over whole command lines: any argument list argparse accepts gives
+# a schema-valid report, exit 0, 1 or 2, and nothing on stderr
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+MATRICES = st.integers(1, 3).flatmap(
+    lambda n: st.dictionaries(
+        st.sampled_from(("A", "B", "U")),
+        st.lists(st.lists(st.lists(st.floats(-2, 2), min_size=2, max_size=2),
+                          min_size=n, max_size=n), min_size=n, max_size=n),
+        min_size=1,
+    )
+)
+MANIFESTS = st.one_of(
+    st.lists(
+        st.fixed_dictionaries(
+            {"kind": st.sampled_from(
+                wg.generators.SYMMETRY_KINDS + wg.generators.ADVERSARY_KINDS + ("bogus",)),
+             "n": st.integers(-1, 6),
+             "seed": st.integers(-1, 10**6)},
+            optional={"dressing_degree": st.integers(-1, 5)},
+        ),
+        max_size=3,
+    ),
+    st.lists(JSON_VALUES, max_size=3),
+    JSON_VALUES,
+)
+SPEC_TOKENS = (
+    "dim", "1", "2", "3", ";", "T1", "T2", "=", "z1", "z2", "z0", "(", ")", "+", "-", "*",
+    "/", "i", "2.5e-3", "1e400", "conj", "expi", "norm2", "mat", "A", "#", "\n", "$",
+    "z" + "1" * 5000,
+)
+# as often a spec that parses, so the later stages are reached, as one that may not
+SPEC_TEXTS = st.booleans().flatmap(
+    lambda parses: st.one_of(
+        st.sampled_from(
+            (IDENTITY, CONJUGATION, ROTATION, SCALING, NORM_WARP, DRESSED_MAT, PHASE_SINGLE)
+        ),
+        spaced_sources().map(lambda case: case[0]),
+    ) if parses else st.one_of(
+        st.lists(st.sampled_from(SPEC_TOKENS), max_size=24).map(" ".join),
+        st.text(max_size=40),
+    )
+)
+POINT_COMPONENTS = (
+    "0", "1", "-i", "0.5+2i", "1e400", "exp(1000)", "1/0", "z1", "z" + "1" * 5000, "(", "",
+)
+POINTS = st.lists(st.sampled_from(POINT_COMPONENTS) | st.text(max_size=8), min_size=1, max_size=3)
+FLOAT_SETTINGS = st.sampled_from((1e-7, 1e-5, 1e-3)) | st.floats()
+SETTING_STRATEGIES = {
+    "samples": st.integers(-1, 40) | st.just(MAX_SAMPLES + 1),
+    "seed": st.integers(-1, 2**70),
+    "levels": st.integers(-1, 5),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """(command, files, options): a subcommand, the text of each file its
+    path options name, and its other options as --name=value strings."""
+    command = draw(st.sampled_from(sorted(COMMAND_SETTINGS)))
+    if command == "fuzz":
+        # always a manifest: the built-in corpus takes a second and has its own tests
+        files = {"manifest": json.dumps(draw(MANIFESTS))}
+    else:
+        files = {"spec": draw(SPEC_TEXTS)}
+        if draw(st.booleans()):
+            files["constants"] = json.dumps(draw(MATRICES | JSON_VALUES))
+    names = COMMAND_SETTINGS[command] + (("levels",) if command == "diff" else ())
+    # one token per option, since a value may start with "-"
+    options = [
+        f"{option(name)}={draw(SETTING_STRATEGIES.get(name, FLOAT_SETTINGS))}"
+        for name in draw(st.lists(st.sampled_from(names), unique=True))
+    ]
+    if command == "diff" and draw(st.booleans()):
+        options.append("--point=" + ",".join(draw(POINTS)))
+    if draw(st.booleans()):
+        options.append("--no-timestamp")
+    return command, files, options
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(command_lines(), st.booleans())
+def test_any_command_line_gives_a_report_and_an_exit_code(case, to_file):
+    command, files, options = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command] + options
+        for name, text in files.items():
+            path = pathlib.Path(tmp, name)
+            path.write_text(text, encoding="utf-8")
+            argv.append(f"--{name}={path}")
+        report_path = pathlib.Path(tmp, "report.json")
+        if to_file:
+            argv.append(f"--output={report_path}")
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+        text = report_path.read_text(encoding="utf-8") if to_file else out.getvalue()
+    assert code in (0, 1, 2)
+    assert (err.getvalue(), caught) == ("", [])
+    if to_file:
+        assert out.getvalue() == ""
+    jsonschema.validate(strict_json(text), REPORT_SCHEMA)

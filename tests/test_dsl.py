@@ -461,10 +461,17 @@ CONSTANTS_MALFORMED = {
     "": ("expected an expression, found end of input", 1, 1, EXPRESSION),
     "2 $": ("unexpected character '$'", 1, 3, ()),
     "2*(3": ("expected ')', found end of input", 1, 1, (")",)),
+    # an index past the 4300 digits int() reads is refused like any other,
+    # after the parse, so a trailing-input error still comes first
+    "z" + "1" * 5000: ("constant expressions cannot reference the state", 1, 1, ()),
+    "z" + "1" * 5000 + ")": ("trailing input ')'", 1, 5002, ()),
 }
 
 
-@pytest.mark.parametrize("text", CONSTANTS_MALFORMED, ids=repr)
+@pytest.mark.parametrize(
+    "text", CONSTANTS_MALFORMED,
+    ids=lambda text: repr(text if len(text) < 40 else f"{text[:4]}...{text[-4:]}"),
+)
 def test_malformed_constant_is_refused_exactly(text):
     message, line, column, expected = CONSTANTS_MALFORMED[text]
     with pytest.raises(ParseError) as err:

@@ -15,9 +15,11 @@ plus a small term that moves the origin, bends one basis image, or
 oscillates on a scale of 1e-5 that only n = 1 brings within reach of the
 reconstruction points. `classify`'s origin stage has one too. Its
 constancy stage is reached only through a `tol_unitary` far below the
-default; its reconstruction stage and the gauge self-check have no
-witness: no generated map misses reconstruction at tol_unitary = 1e-13
-or 1e-14 since the gauge probes at eps = 1e-6.
+default; its reconstruction stage has no witness: no generated map
+misses reconstruction at tol_unitary = 1e-13 or 1e-14 since the gauge
+probes at eps = 1e-6. The gauge self-check's witness is the hash-phase
+map of `oracles`, a true symmetry whose phase is continuous nowhere; the
+check measures a phase, so it refuses the map as mixed_branch.
 """
 
 import re
@@ -27,6 +29,7 @@ import pytest
 
 import wigner as wg
 from wigner.errors import (
+    MixedBranch,
     NotOrthogonal,
     OriginNotFixed,
     ReconstructionMismatch,
@@ -34,6 +37,8 @@ from wigner.errors import (
 )
 from wigner.generators import transformation_from_entry
 from wigner.mazurulam import RealTransformation
+
+from oracles import hash_phase_symmetry
 
 WITNESSES = {
     "mixed_branch": lambda u: lambda z: np.copysign(1.0, z[..., :1].real) * (z @ u.T),
@@ -49,6 +54,19 @@ def test_witness_is_refused_by_its_stage(n, seed, code):
     with pytest.raises(WignerError) as refused:
         wg.classify(transform, wg.ClassifyConfig(seed=seed))
     assert refused.value.code == code
+
+
+@pytest.mark.parametrize("kind", ["linear", "antilinear"])
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_hash_phase_is_refused_by_the_gauge_self_check(n, kind):
+    # every modulus is preserved, so the map passes the preservation sample;
+    # gauge fixing cannot cancel a phase that is continuous nowhere
+    transform = hash_phase_symmetry(kind, wg.haar_unitary(n, 0))
+    assert wg.check_preservation(transform, 50, 0, wg.gauge.PRESERVE_TOL).passed
+    detail = r"^residual origin phase \S+ after gauge fixing$"
+    with pytest.raises(MixedBranch, match=detail) as refused:
+        wg.classify(transform)
+    assert refused.value.exit_code == 2
 
 
 def assert_detail(exc, what: str, tol: float, low: float, high: float) -> None:
