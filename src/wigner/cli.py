@@ -4,12 +4,12 @@ reports.
 
 Subcommands: classify, check, diff, fuzz, mazur-ulam. Each takes, as
 --<name>, only the ClassifyConfig settings its handler reads (`_COMMANDS`).
-mazur-ulam reads the spec as a `RealTransformation`, so output with an
-imaginary part of states.REAL_TOL or more is refused as not_real_map.
+mazur-ulam reads the spec's evaluator as a `RealTransformation`, so output
+with an imaginary part of states.REAL_TOL or more is refused as not_real_map.
 
 Exit codes: 0 for a positive verdict, 2 for a negative one (a diagnostic
 report is still emitted; also fuzz_failures), 1 for an ill-posed question
-(bad input files or setting values, and command-line usage errors). Each
+(bad input files or settings, an unwritable --output, usage errors). Each
 error type carries its report code and exit code; see wigner.errors.
 
 Reports are JSON by default (schema version 1, complex numbers always as
@@ -44,9 +44,7 @@ from .classifier import (
     classify,
     require_preserved,
 )
-from .errors import (
-    DimensionMismatch, NotASymmetry, NotIsometry, SchemaError, WignerError, require_settings
-)
+from .errors import DimensionMismatch, NotASymmetry, NotIsometry, WignerError, require_settings
 from .generators import (
     SYMMETRY_KINDS,
     default_manifest,
@@ -329,15 +327,7 @@ def _fuzz_instance(index: int, entry: dict, config: ClassifyConfig) -> dict:
 
 
 def _cmd_fuzz(args) -> tuple[int, dict]:
-    if args.manifest:
-        text = pathlib.Path(args.manifest).read_text(encoding="utf-8")
-        try:
-            raw = json.loads(text)
-        # not JSON, nested past the recursion limit, or an integer past int()'s digits
-        except (ValueError, RecursionError) as exc:
-            raise SchemaError(str(exc)) from exc
-    else:
-        raw = default_manifest()
+    raw = dsl.read_json(args.manifest, "manifest") if args.manifest else default_manifest()
     config = _config_from_args(args)
     records = [_fuzz_instance(i, entry, config) for i, entry in enumerate(validate_manifest(raw))]
     tested = [r for r in records if r["status"] != "caveat_n1"]
@@ -363,7 +353,7 @@ def _cmd_fuzz(args) -> tuple[int, dict]:
 def _cmd_mazur_ulam(args) -> tuple[int, dict]:
     transform = _load_transformation(args)
     reconstruction = reconstruct_orthogonal(
-        RealTransformation(transform, transform.dimension, vectorized=True),
+        RealTransformation(transform.evaluator, transform.dimension, vectorized=True),
         tol=args.tol_unitary,
         num_pairs=args.samples,
         seed=args.seed,
@@ -557,7 +547,13 @@ def main(argv=None) -> int:
         code, payload = _error_payload(exc)
     except (OSError, UnicodeDecodeError) as exc:  # an input file unread, or not UTF-8
         code, payload = 1, {"error": "io_error", "detail": str(exc)}
-    _emit(_assemble(payload, args, started), args)
+    try:
+        _emit(_assemble(payload, args, started), args)
+    except OSError as exc:  # --output unwritable: that report goes to stdout
+        if not args.output:
+            raise
+        args.output, code = None, 1
+        _emit(_assemble({"error": "io_error", "detail": str(exc)}, args, started), args)
     return code
 
 

@@ -454,7 +454,8 @@ def compile_to_transformation(spec: TransformSpec, constants=None) -> Transforma
     program = _program(spec.outputs, constants)
 
     def evaluator(zv: np.ndarray) -> np.ndarray:
-        out = np.empty(zv.shape, dtype=np.complex128)
+        zv = zv.astype(np.complex128, copy=False)  # real points too: complex `/` rounds apart
+        out = np.empty_like(zv)
         with np.errstate(all="ignore"):
             for k, value in enumerate(_run(program, zv)):
                 out[..., k] = value
@@ -535,17 +536,23 @@ def pretty_print(spec: TransformSpec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# constants files
+# JSON files
 
-def load_constants(path) -> dict[str, np.ndarray]:
-    """Load a JSON constants file: {name: [[[re, im], ...] per row, ...]}."""
+def read_json(path, what: str):
+    """The JSON value in the UTF-8 file at `path`; SchemaError, detail
+    "<what> file is not valid JSON: ...", unless the file holds one."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     # not JSON, nested past the recursion limit, or an integer past int()'s digits
     except (ValueError, RecursionError) as exc:
-        raise SchemaError(f"constants file is not valid JSON: {exc}") from exc
+        raise SchemaError(f"{what} file is not valid JSON: {exc}") from exc
+
+
+def load_constants(path) -> dict[str, np.ndarray]:
+    """Load a JSON constants file: {name: [[[re, im], ...] per row, ...]}."""
+    raw = read_json(path, "constants")
     if not isinstance(raw, dict):
         raise SchemaError("constants file must be a JSON object")
     constants = {}

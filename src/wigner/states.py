@@ -75,16 +75,18 @@ class Transformation:
     A call takes one point of shape (n,) or a batch of m points of shape
     (m, n) and returns images of the same shape. Points and images are
     arrays of the class attribute `dtype`, complex128 here; a subclass for
-    a real space sets float64. Every call passes the points and the
-    evaluator's result through `as_array`, and checks their width, shape
-    and finiteness; an overflow in the evaluator is refused, unwarned, as
-    non-finite. With `vectorized` set the evaluator receives the batch
-    whole and must map each row (the last axis) on its own; otherwise it
-    is called once per row, so a per-point evaluator such as
-    `lambda z: u @ z` stays correct on a batch. The evaluator must be
-    deterministic and safe to call from several threads at once.
-    `ground_truth` is generator bookkeeping (the kind and matrix an
-    instance was built from) that analysis never reads.
+    a real space sets float64. A call checks its points' width and
+    finiteness, and each evaluator result once, in turn: its shape must be
+    the points' shape, it must be finite (an overflow is refused, unwarned,
+    as non-finite), and it must be of `dtype` (for float64, NotRealMap at
+    an imaginary part of REAL_TOL or more). With `vectorized` set the
+    evaluator receives the batch whole and must map each row (the last
+    axis) on its own; otherwise the call runs itself on each row, so a
+    per-point evaluator such as `lambda z: u @ z` stays correct on a batch,
+    and a bad image is refused at its row, before later rows run. The
+    evaluator must be deterministic and safe to call from several threads
+    at once. `ground_truth` is generator bookkeeping (the kind and matrix
+    an instance was built from) that analysis never reads.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -110,21 +112,17 @@ class Transformation:
             )
         if not np.isfinite(zv).all():
             raise NonFiniteEvaluation("state vector has non-finite components")
+        if zv.ndim == 2 and not self.vectorized:
+            out = np.empty_like(zv)
+            for k, row in enumerate(zv):
+                out[k] = self(row)
+            return out
         with np.errstate(all="ignore"):  # an overflow is refused below, as non-finite
-            if zv.ndim == 1 or self.vectorized:
-                out = as_array(self.evaluator(zv), "image", self.dtype)
-            else:
-                out = np.empty_like(zv)
-                for k, row in enumerate(zv):
-                    image = as_array(self.evaluator(row), "image", self.dtype)
-                    _check_shape(image, row.shape)
-                    out[k] = image
-        _check_shape(out, zv.shape)
+            out = self.evaluator(zv)
+            if getattr(out, "dtype", None) != self.dtype:  # checked as complex, cast below
+                out = as_array(out, "image")
+        if out.shape != zv.shape:
+            raise DimensionMismatch(f"evaluator returned shape {out.shape}, expected {zv.shape}")
         if not np.isfinite(out).all():
             raise NonFiniteEvaluation("evaluator returned non-finite components")
-        return out
-
-
-def _check_shape(out: np.ndarray, expected: tuple) -> None:
-    if out.shape != expected:
-        raise DimensionMismatch(f"evaluator returned shape {out.shape}, expected {expected}")
+        return as_array(out, "image", self.dtype)

@@ -105,17 +105,14 @@ def richardson_refine(
         wirtinger_jacobian(transform, at, base_step / 2.0**k)
         for k in range(levels + 1)
     ]
-    pairs = [(j.d_z, j.d_zbar) for j in ladder]
+    table = np.array([(j.d_z, j.d_zbar) for j in ladder])  # (levels + 1, 2, n, n)
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, levels + 1):
             weight = 4.0**m
-            pairs = [
-                tuple((weight * fine - coarse) / (weight - 1.0) for fine, coarse in zip(hi, lo))
-                for lo, hi in zip(pairs[:-1], pairs[1:])
-            ]
-    d_z, d_zbar = pairs[0]
-    if not (np.isfinite(d_z).all() and np.isfinite(d_zbar).all()):
+            table = (weight * table[1:] - table[:-1]) / (weight - 1.0)
+    if not np.isfinite(table).all():
         raise NonFiniteEvaluation(f"Richardson combination at step {base_step:g} overflows")
+    d_z, d_zbar = table[0]
     return WirtingerJacobian(d_z=d_z, d_zbar=d_zbar, at=ladder[0].at)
 
 

@@ -404,6 +404,21 @@ def test_missing_file_exit_1(tmp_path, capsys):
     assert report["error"] == "io_error"
 
 
+@pytest.mark.parametrize("output", [".", "missing/report.json"])
+def test_unwritable_output_is_an_io_error_on_stdout(tmp_path, capsys, output):
+    target = tmp_path / output
+    spec = str(CORPUS / "analytic_identity.wig")
+    code = main(["check", "--spec", spec, "--output", str(target), "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    report = json.loads(captured.out)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert report["error"] == "io_error"
+    assert str(target) in report["detail"]
+    assert "output" not in report["config_echo"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
 def test_unknown_matrix_exit_1(tmp_path, capsys):
     spec = write_spec(tmp_path, "dim 1;\nT1 = mat(Q);\n")
     code, report = run_json(["classify", "--spec", spec], capsys)
@@ -827,6 +842,7 @@ def test_fuzz_manifest_that_is_not_json_is_schema_error(tmp_path, capsys):
     manifest.write_text('[{"kind": "linear",')
     code, report = run_json(["fuzz", "--manifest", str(manifest)], capsys)
     assert (code, report["error"]) == (1, "schema_error")
+    assert report["detail"].startswith("manifest file is not valid JSON: ")
 
 
 def test_point_with_an_index_past_int_digits_is_parse_error(capsys):
@@ -1069,9 +1085,13 @@ def command_lines(draw):
     return command, files, options
 
 
+#: where --output points, relative to the run's directory (None: no --output)
+OUTPUTS = (None, "report.json", ".", "missing/report.json")
+
+
 @settings(max_examples=150, deadline=None, database=None)
-@given(command_lines(), st.booleans())
-def test_any_command_line_gives_a_report_and_an_exit_code(case, to_file):
+@given(command_lines(), st.sampled_from(OUTPUTS))
+def test_any_command_line_gives_a_report_and_an_exit_code(case, output):
     command, files, options = case
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -1081,15 +1101,19 @@ def test_any_command_line_gives_a_report_and_an_exit_code(case, to_file):
             path.write_text(text, encoding="utf-8")
             argv.append(f"--{name}={path}")
         report_path = pathlib.Path(tmp, "report.json")
-        if to_file:
-            argv.append(f"--output={report_path}")
+        if output:
+            argv.append(f"--output={pathlib.Path(tmp, output)}")
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
             code = main(argv)
+        to_file = output == "report.json"
         text = report_path.read_text(encoding="utf-8") if to_file else out.getvalue()
     assert code in (0, 1, 2)
     assert (err.getvalue(), caught) == ("", [])
     if to_file:
         assert out.getvalue() == ""
-    jsonschema.validate(strict_json(text), REPORT_SCHEMA)
+    report = strict_json(text)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    if output not in (None, "report.json"):  # a directory, or a path in none
+        assert (code, report["error"]) == (1, "io_error")

@@ -154,6 +154,14 @@ def test_compiled_matches_manual_matvec():
         assert np.abs(transform(z) - v @ z).max() < 1e-12
 
 
+def test_compiled_evaluator_computes_in_complex_arithmetic_on_real_points():
+    # numpy's complex division rounds unlike its real one, so a real point
+    # must be divided as the complex point it stands for
+    evaluator = dsl.compile_to_transformation(dsl.parse("dim 2; T1 = z1 / z2; T2 = z2;")).evaluator
+    x = np.random.default_rng(0).standard_normal((200, 2))
+    assert np.array_equal(evaluator(x), evaluator(x.astype(complex)))
+
+
 def test_parse_constant():
     assert dsl.parse_constant("1+2i") == 1 + 2j
     assert dsl.parse_constant("-i") == -1j

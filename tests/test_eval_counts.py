@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import wigner as wg
-from wigner import classifier, dsl
+from wigner import classifier, dsl, states
 from wigner.cli import main
 from wigner.errors import NotASymmetry
 from wigner.gauge import PRESERVE_TOL
@@ -152,6 +152,30 @@ def test_cli_mazur_ulam_checks_isometry_once(tmp_path, monkeypatch, capsys):
     # basis images + 50 reconstruction points; checking the isometry twice
     # would add another 106. Three stencils of 2n = 4 points took it to 169
     assert [c[0] for c in counters] == [159]
+
+
+def test_cli_mazur_ulam_checks_each_evaluation_once(tmp_path, monkeypatch, capsys):
+    compile_spec, checked_call = dsl.compile_to_transformation, states.Transformation.__call__
+    counters, entries = [], [0]
+
+    def compile_counted(spec, constants=None):
+        transform = compile_spec(spec, constants)
+        counters.append(count_points(transform))
+        return transform
+
+    def call_counted(transform, z):
+        entries[0] += 1
+        return checked_call(transform, z)
+
+    monkeypatch.setattr(dsl, "compile_to_transformation", compile_counted)
+    monkeypatch.setattr(states.Transformation, "__call__", call_counted)
+    spec = tmp_path / "rotation.wig"
+    spec.write_text(ROTATION)
+    assert main(["mazur-ulam", "--spec", str(spec)]) == 0
+    capsys.readouterr()
+    # the real map wraps the spec's evaluator, not its compiled Transformation,
+    # whose own checked call made two entries per evaluation
+    assert entries[0] == counters[0][1] > 0
 
 
 def program_steps(source: str, constants=None) -> int:

@@ -67,6 +67,28 @@ def test_transformation_rejects_nonfinite_output():
         transform(np.ones(1))
 
 
+def test_per_row_map_refuses_a_bad_image_at_its_row():
+    seen = []
+
+    def evaluator(z):
+        seen.append(z[0])
+        return np.full(2, np.inf) if z[0] == 1 else z
+
+    with pytest.raises(NonFiniteEvaluation, match="evaluator returned non-finite components"):
+        wg.Transformation(evaluator, 2)(np.array([[0, 0], [1, 0], [2, 0]]))
+    assert seen == [0, 1]
+    with pytest.raises(DimensionMismatch, match=r"returned shape \(3,\), expected \(2,\)"):
+        wg.Transformation(lambda z: np.zeros(3), 2)(np.zeros((2, 2)))
+    assert wg.Transformation(lambda z: z, 2)(np.zeros((0, 2))).shape == (0, 2)
+
+
+def test_real_map_refuses_a_non_finite_image_before_a_non_real_one():
+    # an overflow times a complex 1 is inf + nan i: non-finite, then not real
+    transform = wg.RealTransformation(lambda u: np.exp(1000 * u) * (1 + 0j), 1)
+    with pytest.raises(NonFiniteEvaluation):
+        transform(np.ones(1))
+
+
 def test_gauge_fixed_transform_is_thread_safe():
     # concurrent queries for the same points, and concurrent batches that
     # share rows, must match a serial replay
