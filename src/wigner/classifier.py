@@ -28,6 +28,7 @@ from .errors import (
     NotASymmetry,
     NotUnitary,
     ReconstructionMismatch,
+    SchemaError,
     ZeroReference,
     require_settings,
 )
@@ -113,20 +114,23 @@ class PhaseAlignment:
 
 
 def align_global_phase(matrix, reference) -> PhaseAlignment:
-    """Best single-phase match of `matrix` against `reference`.
-
-    The phase is read at the largest-modulus entry of the reference;
-    the residual is the max-norm of exp(-i*phase)*matrix - reference.
-    """
+    """Best single-phase match of `matrix` against `reference`, arrays of
+    any one shape (a state vector too): the phase is read at the reference's
+    largest entry, the residual is max |exp(-i*phase)*matrix - reference|.
+    Unequal or empty shapes (DimensionMismatch) and a non-finite entry
+    (SchemaError) are refused before any arithmetic."""
     m = as_array(matrix, "matrix")
     r = as_array(reference, "reference")
-    if m.shape != r.shape:
-        raise DimensionMismatch(f"shapes differ: {m.shape} vs {r.shape}")
-    k, l = np.unravel_index(np.abs(r).argmax(), r.shape)
-    if abs(r[k, l]) <= 1e-8:
+    if m.shape != r.shape or not r.size:
+        raise DimensionMismatch(f"shapes must be equal and non-empty: {m.shape} vs {r.shape}")
+    if not (np.isfinite(m).all() and np.isfinite(r).all()):
+        raise SchemaError("matrix and reference must be finite")
+    peak = np.unravel_index(np.abs(r).argmax(), r.shape)
+    if abs(r[peak]) <= 1e-8:
         raise ZeroReference("reference matrix has no entry of modulus above 1e-8")
-    phase = float(np.angle(m[k, l] / r[k, l]))
-    residual = float(np.abs(np.exp(-1j * phase) * m - r).max())
+    with np.errstate(all="ignore"):  # entries near the largest float: the residual reads inf
+        phase = float(np.angle(m[peak] / r[peak]))
+        residual = float(np.abs(np.exp(-1j * phase) * m - r).max())
     return PhaseAlignment(phase=phase, aligned_residual=residual)
 
 
@@ -231,8 +235,9 @@ def require_preserved(report: PreservationReport) -> None:
 
 
 def unitarity_residual(matrix: np.ndarray) -> float:
-    """Max-norm of M*M - I (of M^T M - I for a real M)."""
-    return float(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])).max())
+    """Max-norm of M*M - I (M^T M - I for a real M), unwarned: NaN or inf past float range."""
+    with np.errstate(all="ignore"):
+        return float(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0])).max())
 
 
 def relative_miss(transform, points: np.ndarray, model: np.ndarray) -> float:

@@ -37,6 +37,7 @@ import numpy as np
 
 from . import dsl
 from .classifier import (
+    CAVEAT_N1,
     PAIR_COLUMNS,
     ClassifyConfig,
     align_global_phase,
@@ -229,29 +230,22 @@ def _option(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _config_from_args(args) -> ClassifyConfig:
-    settings = _COMMANDS[args.command].settings
-    return ClassifyConfig(**{name: getattr(args, name) for name in settings})
-
-
-def _validate_settings(args) -> None:
-    """Refuse a bad setting, named by its option, before anything runs.
-
-    check, diff and mazur-ulam build no ClassifyConfig, so its bounds are
-    applied here, as are those of diff's --levels, which no config holds."""
+def _config(args) -> ClassifyConfig:
+    """The run's ClassifyConfig: the subcommand's settings, the rest at their
+    defaults. A bad setting, or diff's --levels, is refused by option name first."""
     settings = {name: getattr(args, name) for name in _COMMANDS[args.command].settings}
-    if args.command == "diff":
-        settings["levels"] = args.levels
-    require_settings(settings, _option)
+    levels = {"levels": args.levels} if args.command == "diff" else {}
+    require_settings(settings | levels, _option)
+    return ClassifyConfig(**settings)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_classify(args) -> tuple[int, dict]:
+def _cmd_classify(args, config: ClassifyConfig) -> tuple[int, dict]:
     transform = _load_transformation(args)
-    result = classify(transform, _config_from_args(args))
-    payload = {
+    result = classify(transform, config)
+    return 0, {
         "verdict": "symmetry",
         "branch": result.branch,
         "operator": _complex_payload(result.operator),
@@ -263,12 +257,11 @@ def _cmd_classify(args) -> tuple[int, dict]:
         "preservation": _preservation_payload(result.preservation),
         "caveats": list(result.caveats),
     }
-    return 0, payload
 
 
-def _cmd_check(args) -> tuple[int, dict]:
+def _cmd_check(args, config: ClassifyConfig) -> tuple[int, dict]:
     transform = _load_transformation(args)
-    report = check_preservation(transform, args.samples, args.seed, args.tol_preserve)
+    report = check_preservation(transform, config.samples, config.seed, config.tol_preserve)
     try:
         require_preserved(report)
     except NotASymmetry as exc:
@@ -280,7 +273,7 @@ def _cmd_check(args) -> tuple[int, dict]:
     return code, payload
 
 
-def _cmd_diff(args) -> tuple[int, dict]:
+def _cmd_diff(args, config: ClassifyConfig) -> tuple[int, dict]:
     transform = _load_transformation(args)
     point = zero_state(transform.dimension)
     if args.point is not None:
@@ -290,18 +283,17 @@ def _cmd_diff(args) -> tuple[int, dict]:
                 f"--point has {len(point)} components, "
                 f"spec dimension is {transform.dimension}"
             )
-    jac = richardson_refine(transform, point, args.step, args.levels)
-    analytic = jac.d_zbar_norm < args.tol_branch
-    payload = {
+    jac = richardson_refine(transform, point, config.step, args.levels)
+    analytic = jac.d_zbar_norm < config.tol_branch
+    return 0, {
         "verdict": "analytic" if analytic else "not_analytic",
         "point": _complex_payload(jac.at),
         "d_z": _complex_payload(jac.d_z),
         "d_zbar": _complex_payload(jac.d_zbar),
         "d_zbar_max": jac.d_zbar_norm,
-        "step": args.step,
+        "step": config.step,
         "levels": args.levels,
     }
-    return 0, payload
 
 
 def _fuzz_instance(index: int, entry: dict, config: ClassifyConfig) -> dict:
@@ -309,13 +301,13 @@ def _fuzz_instance(index: int, entry: dict, config: ClassifyConfig) -> dict:
     symmetry = entry["kind"] in SYMMETRY_KINDS
     if symmetry:
         record["dressing_degree"] = entry.get("dressing_degree", 0)
-    if entry["n"] == 1:
-        return record | {"status": "caveat_n1"}
     transform = transformation_from_entry(entry)
     try:
         result = classify(transform, dataclasses.replace(config, seed=config.seed + index))
     except WignerError as exc:
         return record | {"status": "rejected", "error": exc.code}
+    if symmetry and CAVEAT_N1 in result.caveats:  # no branch to compare on C^1
+        return record | {"status": "caveat_n1"}
     record["branch"] = result.branch
     if not symmetry:
         return record | {"status": "accepted"}
@@ -326,9 +318,8 @@ def _fuzz_instance(index: int, entry: dict, config: ClassifyConfig) -> dict:
     return record | {"status": "recovered" if recovered else "mismatch"}
 
 
-def _cmd_fuzz(args) -> tuple[int, dict]:
+def _cmd_fuzz(args, config: ClassifyConfig) -> tuple[int, dict]:
     raw = dsl.read_json(args.manifest, "manifest") if args.manifest else default_manifest()
-    config = _config_from_args(args)
     records = [_fuzz_instance(i, entry, config) for i, entry in enumerate(validate_manifest(raw))]
     tested = [r for r in records if r["status"] != "caveat_n1"]
     symmetries = [r["status"] for r in tested if r["kind"] in SYMMETRY_KINDS]
@@ -350,13 +341,13 @@ def _cmd_fuzz(args) -> tuple[int, dict]:
     }
 
 
-def _cmd_mazur_ulam(args) -> tuple[int, dict]:
+def _cmd_mazur_ulam(args, config: ClassifyConfig) -> tuple[int, dict]:
     transform = _load_transformation(args)
     reconstruction = reconstruct_orthogonal(
         RealTransformation(transform.evaluator, transform.dimension, vectorized=True),
-        tol=args.tol_unitary,
-        num_pairs=args.samples,
-        seed=args.seed,
+        tol=config.tol_unitary,
+        num_pairs=config.samples,
+        seed=config.seed,
     )
     return 0, {
         "verdict": "orthogonal",
@@ -472,13 +463,12 @@ def _to_human(report: dict) -> str:
     return "\n".join(filter(None, lines)) + "\n"
 
 
+#: Each --format's writer.
+_WRITERS = {"json": _to_json, "csv": _to_csv, "human": _to_human}
+
+
 def _emit(report: dict, args) -> None:
-    if args.format == "json":
-        text = _to_json(report)
-    elif args.format == "csv":
-        text = _to_csv(report)
-    else:
-        text = _to_human(report)
+    text = _WRITERS[args.format](report)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -501,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every
     `main` call: parse_args leaves it unchanged, and callers must too."""
     common = _ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "human"), default="json")
+    common.add_argument("--format", choices=tuple(_WRITERS), default="json")
     common.add_argument("--output", default=None, help="write the report here instead of stdout")
     common.add_argument("--no-timestamp", action="store_true", dest="no_timestamp")
 
@@ -541,8 +531,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        _validate_settings(args)
-        code, payload = _COMMANDS[args.command].handler(args)
+        code, payload = _COMMANDS[args.command].handler(args, _config(args))
     except WignerError as exc:
         code, payload = _error_payload(exc)
     except (OSError, UnicodeDecodeError) as exc:  # an input file unread, or not UTF-8

@@ -56,6 +56,7 @@ DivisionNearZero, located at the first such division in output order.
 import json
 import operator
 import re as _re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -411,7 +412,9 @@ def _program(trees, constants=None) -> tuple:
         return slot(("lit", repr(node.value), -1), value=node.value)
 
     roots = [lower(tree, row) for row, tree in enumerate(trees)]
-    available, shape = constants or {}, (len(trees), len(trees))
+    available, shape = {} if constants is None else constants, (len(trees), len(trees))
+    if not isinstance(available, Mapping):
+        raise SchemaError("constants must be a mapping of matrix names to matrices")
     for name, at in sorted((key[1], at) for key, at in slots.items() if key[0] == "mat"):
         if name not in available:
             raise UnknownMatrix(f"matrix {name!r} not found in constants")
@@ -442,14 +445,14 @@ def evaluate(spec: TransformSpec, z, constants=None) -> np.ndarray:
 def compile_to_transformation(spec: TransformSpec, constants=None) -> Transformation:
     """Compile the spec, closed over its resolved constants, to a Transformation.
 
-    Matrix references are resolved once, up front (UnknownMatrix /
-    DimensionMismatch surface here, not at evaluation time), and the n
-    output trees are lowered to one program in which each distinct
-    subterm is evaluated once per batch: a phase shared by every output
-    is computed once, not n times. The returned evaluator is vectorized,
-    immutable and safe for concurrent callers. Floating-point overflow is
-    not warned about: it yields Inf or NaN, which the Transformation call
-    rejects as NonFiniteEvaluation.
+    Matrix references are resolved once, up front (UnknownMatrix,
+    DimensionMismatch, and SchemaError for `constants` not a mapping, surface
+    here, not at evaluation time), and the n output trees are lowered to one
+    program in which each distinct subterm is evaluated once per batch: a
+    phase shared by every output is computed once, not n times. The returned
+    evaluator is vectorized, immutable and safe for concurrent callers.
+    Floating-point overflow is not warned about: it yields Inf or NaN, which
+    the Transformation call rejects as NonFiniteEvaluation.
     """
     program = _program(spec.outputs, constants)
 

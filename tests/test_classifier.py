@@ -156,6 +156,39 @@ def test_align_global_phase_zero_reference():
         wg.align_global_phase(np.eye(2), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+def test_align_global_phase_takes_arrays_of_any_one_shape(shape):
+    reference = np.full(shape, 0.5 - 0.5j)
+    alignment = wg.align_global_phase(np.exp(0.3j) * reference, reference)
+    assert abs(alignment.phase - 0.3) < 1e-12
+    assert alignment.aligned_residual < 1e-12
+
+
+@pytest.mark.parametrize("matrix, reference", [
+    (np.zeros(0), np.zeros(0)),
+    (np.zeros((2, 0)), np.zeros((2, 0))),
+    (np.eye(2), np.ones(2)),
+])
+def test_align_global_phase_refuses_empty_or_unequal_shapes(matrix, reference):
+    with pytest.raises(DimensionMismatch):
+        wg.align_global_phase(matrix, reference)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+@pytest.mark.parametrize("position", ["matrix", "reference"])
+def test_align_global_phase_refuses_a_non_finite_entry(bad, position):
+    operands = {"matrix": np.eye(2, dtype=complex), "reference": np.eye(2, dtype=complex)}
+    operands[position][1, 1] = bad
+    with pytest.raises(SchemaError, match="must be finite"):
+        wg.align_global_phase(**operands)
+
+
+def test_align_global_phase_past_the_largest_float_reads_inf_unwarned():
+    alignment = wg.align_global_phase(np.full(2, 1.5e308 + 1.5e308j), np.ones(2))
+    assert alignment.phase == pytest.approx(np.pi / 4)
+    assert alignment.aligned_residual == np.inf
+
+
 @pytest.mark.parametrize("kind", ["linear", "antilinear"])
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
 def test_round_trip_small_corpus(kind, degree):

@@ -814,9 +814,27 @@ def test_fuzz_with_an_unreachable_tolerance_reports_fuzz_failures(tmp_path, caps
     manifest = write_manifest(tmp_path)
     code, report = run_json(["fuzz", "--manifest", manifest, "--tol-unitary", "1e-17"], capsys)
     assert (code, report["error"]) == (2, "fuzz_failures")
-    assert report["detail"] == "0/1 symmetries recovered, 1/1 adversaries rejected"
+    # the n = 1 symmetry is classified too: its 1 x 1 operator is unitary to
+    # the last bit, but its reconstruction misses by 5e-16
+    assert report["detail"] == "0/2 symmetries recovered, 1/1 adversaries rejected"
     errors = [inst.get("error") for inst in report["instances"]]
-    assert errors == [None, "not_unitary", "not_a_symmetry"]
+    assert errors == ["reconstruction_mismatch", "not_unitary", "not_a_symmetry"]
+
+
+def test_fuzz_tests_n1_adversaries(tmp_path, capsys):
+    entries = [
+        {"kind": "scaling", "n": 1, "seed": 0},
+        {"kind": "norm_warp", "n": 1, "seed": 1},
+        {"kind": "antilinear", "n": 1, "seed": 2, "dressing_degree": 2},
+    ]
+    code, report = run_json(["fuzz", "--manifest", write_manifest(tmp_path, entries)], capsys)
+    assert code == 0
+    assert [inst["status"] for inst in report["instances"]] == ["rejected", "rejected", "caveat_n1"]
+    assert [inst.get("error") for inst in report["instances"][:2]] == ["not_a_symmetry"] * 2
+    assert "branch" not in report["instances"][2]
+    assert report["counts"] == {
+        "symmetries": 0, "recovered": 0, "adversaries": 2, "rejected": 2, "caveat_n1": 1
+    }
 
 
 def test_fuzz_reports_accepted_adversaries_and_mismatched_symmetries(tmp_path, capsys, monkeypatch):

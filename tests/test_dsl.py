@@ -129,6 +129,15 @@ def test_unknown_matrix_at_compile():
         assert str(err.value) == f"matrix {name!r} not found in constants"
 
 
+@pytest.mark.parametrize("constants", ["U", 3, [], np.eye(1)])
+def test_constants_that_are_not_a_mapping_are_a_schema_error(constants):
+    spec = dsl.parse("dim 1; T1 = mat(U);")
+    with pytest.raises(SchemaError) as err:
+        dsl.compile_to_transformation(spec, constants)
+    assert str(err.value) == "constants must be a mapping of matrix names to matrices"
+    assert err.value.exit_code == 1
+
+
 def test_matrix_shape_checked():
     spec = dsl.parse("dim 1; T1 = mat(U);")
     with pytest.raises(DimensionMismatch):

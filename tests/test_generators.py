@@ -76,6 +76,16 @@ def test_make_symmetry_rejects_a_nan_matrix():
     assert (refused.value.exit_code, str(refused.value)) == (1, "|U*U - I| = nan exceeds 1e-10")
 
 
+@pytest.mark.parametrize("fill, detail", [
+    (np.inf, "|U*U - I| = nan exceeds 1e-10"),
+    (1e200, "|U*U - I| = inf exceeds 1e-10"),  # U*U overflows
+])
+def test_make_symmetry_refuses_an_infinite_or_overflowing_matrix_unwarned(fill, detail):
+    with pytest.raises(NotUnitaryInput) as refused:
+        wg.make_symmetry("linear", np.full((2, 2), fill))
+    assert (refused.value.exit_code, str(refused.value)) == (1, detail)
+
+
 def test_dressed_symmetry_preserves_moduli():
     # Roundoff alone, proportional to |w||z|: each n-term overlap is off by
     # at most about (n + 2) u |w||z| (u = eps / 2, Cauchy-Schwarz on the

@@ -8,7 +8,8 @@ return a result or raise a `WignerError` whose exit code is the one the
 README's exit-code table gives for its report code: no other exception,
 and no warning (the suite turns warnings into errors). So must a call of
 a complex or real map on any point, or with an evaluator that returns any
-value.
+value, and `align_global_phase`, `make_symmetry` and a compiled `mat(U)`
+spec on any matrix operand.
 
 Separately, a bad setting given to any public entry point is refused with
 `SchemaError` before the map is evaluated at all.
@@ -22,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import wigner as wg
 from wigner import dsl
@@ -187,6 +189,42 @@ def test_any_image_gives_an_image_or_a_typed_error(kind, data):
             assert_typed(exc)
         else:
             assert out.shape == shape and out.dtype == kind.dtype and np.isfinite(out).all()
+
+
+# numbers no finite matrix check may leave to numpy: NaN, the infinities
+# and entries near 1e200, whose products overflow
+extreme_entries = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, complex(0, -math.inf), complex(math.nan, 1)]),
+    st.builds(complex, *[st.floats(1e199, 1e201) | st.floats(-1e201, -1e199)] * 2),
+    st.complex_numbers(max_magnitude=2.0),
+)
+matrix_shapes = st.one_of(
+    st.integers(1, 3).map(lambda n: (n, n)),
+    array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+)
+matrix_operands = st.one_of(arrays(np.complex128, matrix_shapes, elements=extreme_entries), points)
+
+
+@SURFACE_SETTINGS
+@given(matrix_operands, st.sampled_from(SYMMETRY_KINDS))
+def test_any_matrix_operand_gives_a_result_or_a_typed_error(operand, kind):
+    try:
+        shape = np.shape(operand)
+    except ValueError:  # a ragged list
+        shape = ()
+    n = shape[0] if len(shape) == 2 and shape[0] else 2
+    spec = dsl.parse(f"dim {n};" + "".join(f" T{k} = mat(U);" for k in range(1, n + 1)))
+    calls = (
+        lambda: wg.align_global_phase(operand, np.ones(shape)),
+        lambda: wg.align_global_phase(np.ones(shape), operand),
+        lambda: wg.make_symmetry(kind, operand),
+        lambda: dsl.compile_to_transformation(spec, {"U": operand})(np.ones(n)),
+    )
+    for call in calls:
+        try:
+            call()
+        except WignerError as exc:
+            assert_typed(exc)
 
 
 REFUSED = {
