@@ -18,6 +18,7 @@ The reconstructed operator is canonical only up to a global phase, which
 is why oracle comparisons go through `align_global_phase`.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,8 +129,9 @@ def align_global_phase(matrix, reference) -> PhaseAlignment:
     peak = np.unravel_index(np.abs(r).argmax(), r.shape)
     if abs(r[peak]) <= 1e-8:
         raise ZeroReference("reference matrix has no entry of modulus above 1e-8")
+    # the wrapped difference of two angles: the quotient m / r can overflow to 0
+    phase = math.remainder(float(np.angle(m[peak]) - np.angle(r[peak])), 2 * math.pi)
     with np.errstate(all="ignore"):  # entries near the largest float: the residual reads inf
-        phase = float(np.angle(m[peak] / r[peak]))
         residual = float(np.abs(np.exp(-1j * phase) * m - r).max())
     return PhaseAlignment(phase=phase, aligned_residual=residual)
 

@@ -45,7 +45,9 @@ from .classifier import (
     classify,
     require_preserved,
 )
-from .errors import DimensionMismatch, NotASymmetry, NotIsometry, WignerError, require_settings
+from .errors import (
+    DimensionMismatch, NotASymmetry, NotIsometry, SchemaError, WignerError, require_settings
+)
 from .generators import (
     SYMMETRY_KINDS,
     default_manifest,
@@ -232,11 +234,16 @@ def _option(name: str) -> str:
 
 def _config(args) -> ClassifyConfig:
     """The run's ClassifyConfig: the subcommand's settings, the rest at their
-    defaults. A bad setting, or diff's --levels, is refused by option name first."""
+    defaults. A bad setting, then diff's --levels, is refused by option name."""
     settings = {name: getattr(args, name) for name in _COMMANDS[args.command].settings}
-    levels = {"levels": args.levels} if args.command == "diff" else {}
-    require_settings(settings | levels, _option)
-    return ClassifyConfig(**settings)
+    try:
+        config = ClassifyConfig(**settings)
+    except SchemaError as exc:  # the detail starts with the field's name
+        name, problem = str(exc).split(" ", 1)
+        raise SchemaError(f"{_option(name)} {problem}") from None
+    if args.command == "diff":
+        require_settings({"levels": args.levels}, _option)
+    return config
 
 
 # ---------------------------------------------------------------------------

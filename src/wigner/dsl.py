@@ -43,9 +43,11 @@ An expression nests at most MAX_DEPTH = 100 levels: the root is level 1,
 and each operator, unary minus, function call and parenthesised group
 adds one. A deeper one is a ParseError. Matrix entries must be finite.
 
-The n trees compile to one program that evaluates each distinct subterm
-once per batch of points, so a phase shared by every output is computed
-once. It runs in double-precision complex arithmetic over numpy arrays,
+A right-hand side whose text, from its first token to its ';', repeats
+an earlier output's is parsed once: the repeat gets a copy of that tree in
+which every node keeps its own line and column. The n trees compile to
+one program that evaluates each distinct subterm once per batch of points,
+so a phase shared by every output is computed once. It runs in double-precision complex arithmetic over numpy arrays,
 associating left to right as parsed; conj/re/im/abs2 read the actual
 conjugate of the input, which is what makes the conj-free fragment
 exactly the analytic one. Division is the only partial operation: a
@@ -181,24 +183,24 @@ _VAR = _re.compile(r"z([1-9][0-9]*)").fullmatch
 _TARGET = _re.compile(r"T([1-9][0-9]*)").fullmatch
 
 
-def _tokenize(source: str):
-    """Yield (kind, text, line, column) per token of `source`, kind "number",
+def _tokenize(source: str, start: int = 0, line: int = 1, line_start: int = 0):
+    """Yield (kind, text, line, column, offset) per token of `source` from
+    `start`, which lies on `line` at offset `line_start`; kind "number",
     "ident", "punct" or last "eof" (text "", column 1); lazily, so a parse
     never holds every token and a bad character raises only once reached."""
-    line, line_start = 1, 0
-    for match in _TOKEN_RE.finditer(source):
+    for match in _TOKEN_RE.finditer(source, start):
         kind = match.lastgroup
         if kind == "newline":
             line, line_start = line + 1, match.end()
             continue
         text = match[kind]
         if kind == "eof":
-            yield kind, text, line, 1
+            yield kind, text, line, 1, match.end()
             return
-        column = match.end() - len(text) - line_start + 1
+        offset = match.end() - len(text)
         if kind == "bad":
-            raise ParseError(f"unexpected character {text!r}", line, column)
-        yield kind, text, line, column
+            raise ParseError(f"unexpected character {text!r}", line, offset - line_start + 1)
+        yield kind, text, line, offset - line_start + 1, offset
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +214,8 @@ def _found(tok) -> str:
 
 
 class _Parser:
-    """Recursive descent with `tok`, the next (kind, text, line, column)
-    token, as its one lookahead.
+    """Recursive descent with `tok`, the next (kind, text, line, column,
+    offset) token, as its one lookahead.
 
     A punctuation token is told by its text alone, which no other token
     has. Each parse_* method parses a node at `level` (root 1) and returns
@@ -223,6 +225,7 @@ class _Parser:
     """
 
     def __init__(self, source: str):
+        self.source = source
         self.tokens = _tokenize(source)
         self.tok = next(self.tokens)
         self.bound = ()  # (digits, decimal) of the dimension, once known
@@ -260,7 +263,7 @@ class _Parser:
     def parse_factor(self, level: int):
         """A unary minus, a literal, a parenthesised group or a name's atom."""
         tok = self.tok
-        kind, text, line, column = tok
+        kind, text, line, column, _ = tok
         if text == "-" or text == "(":
             self.tok = next(self.tokens)
             if text == "-":
@@ -305,6 +308,53 @@ class _Parser:
         expected = tuple(sorted(FUNCTIONS)) + ("mat", "i", "z<k>")
         raise UnknownIdentifier(f"unknown identifier {text!r}", line, column, expected)
 
+    def right_hand_side(self, parsed: dict):
+        """The expression up to the next ';', parsed once per text.
+
+        `parsed` maps each right-hand side that parsed cleanly and ended at
+        the first ';' after it (so it holds no ';', not even in a comment)
+        to its tree and the line and column of its first token. A repeat of
+        such text has the same tokens and tree: it is skipped, and the tree
+        is rebuilt with its positions moved to where the repeat stands.
+        """
+        _, _, line, column, start = self.tok
+        end = self.source.find(";", start)
+        text = self.source[start:end] if end >= 0 else None
+        if text in parsed:
+            tree, first_line, first_column = parsed[text]
+            newline = text.rfind("\n")
+            line_start = start + newline + 1 if newline >= 0 else start - column + 1
+            self.tokens = _tokenize(self.source, end, line + text.count("\n"), line_start)
+            self.tok = next(self.tokens)
+            return _moved(tree, first_line, line - first_line, column - first_column)
+        tree = self.parse_expression()[0]
+        if self.tok[4] == end:
+            parsed[text] = tree, line, column
+        return tree
+
+
+def _moved(tree, first_line: int, lines: int, columns: int):
+    """`tree` rebuilt with every node `lines` lines further down, and those
+    on `first_line` also `columns` columns further right."""
+
+    def move(node):
+        line, column = node.pos
+        pos = (line + lines, column + columns if line == first_line else column)
+        kind = type(node)
+        if kind is BinOp:
+            return BinOp(node.op, move(node.left), move(node.right), pos)
+        if kind is Call:
+            return Call(node.func, tuple(map(move, node.args)), pos)
+        if kind is Neg:
+            return Neg(move(node.operand), pos)
+        if kind is Var:
+            return Var(node.index, pos)
+        if kind is MatApply:
+            return MatApply(node.name, pos)
+        return Literal(node.value, pos)
+
+    return move(tree)
+
 
 def parse(source: str) -> TransformSpec:
     """Parse a transform definition; see the module docstring for the grammar.
@@ -331,6 +381,7 @@ def parse(source: str) -> TransformSpec:
     parser.bound = (len(decimal), decimal)
 
     outputs: dict[int, object] = {}
+    parsed: dict[str, tuple] = {}
     while (tok := parser.tok)[0] != "eof":
         target = _TARGET(tok[1])
         if target is None:
@@ -343,7 +394,7 @@ def parse(source: str) -> TransformSpec:
             parser.fail(f"output T{index} assigned twice", tok)
         parser.tok = next(parser.tokens)
         parser.expect("=")
-        outputs[index] = parser.parse_expression()[0]
+        outputs[index] = parser.right_hand_side(parsed)
         parser.expect(";")
 
     if len(outputs) < dimension:  # none past n, none twice: one of T1..T(len + 1) is missing
@@ -475,7 +526,7 @@ def parse_constant(text: str) -> complex:
     """
     parser = _Parser(text)
     node = parser.parse_expression()[0]
-    kind, tail, line, column = parser.tok
+    kind, tail, line, column, _ = parser.tok
     if kind != "eof":
         raise ParseError(f"trailing input {tail!r}", line, column)
     for sub in walk(node):

@@ -189,6 +189,14 @@ def test_align_global_phase_past_the_largest_float_reads_inf_unwarned():
     assert alignment.aligned_residual == np.inf
 
 
+def test_align_global_phase_of_a_reference_past_the_largest_float_in_modulus():
+    # the quotient matrix / reference overflows its denominator and flushes
+    # to 0, which would read a phase of 0
+    alignment = wg.align_global_phase(1.0, 1.7e308 + 1.7e308j)
+    assert alignment.phase == pytest.approx(-np.pi / 4)
+    assert alignment.aligned_residual == np.inf
+
+
 @pytest.mark.parametrize("kind", ["linear", "antilinear"])
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
 def test_round_trip_small_corpus(kind, degree):

@@ -275,6 +275,79 @@ def test_shared_phase_reads_each_row_of_mat():
     assert len(set(out.tolist())) == 3
 
 
+def positions(spec) -> list:
+    """The (line, column) of every node, output by output, in walk order."""
+    return [[node.pos for node in dsl.walk(out)] for out in spec.outputs]
+
+
+PHASE_AT = "expi(re(z1)) * mat(U)"
+
+
+@pytest.mark.parametrize(
+    "source, want",
+    [
+        pytest.param(
+            "dim 10;\n" + "".join(f"T{k} = z{k};\n" for k in range(1, 9))
+            + f"T9 = {PHASE_AT};\nT10 = {PHASE_AT};\n",
+            [[(k + 1, 6)] for k in range(1, 9)]
+            + [[(10, 19), (10, 6), (10, 11), (10, 14), (10, 21)],
+               [(11, 20), (11, 7), (11, 12), (11, 15), (11, 22)]],
+            id="T9_to_T10_moves_one_column",
+        ),
+        pytest.param(
+            "dim 2;\nT1 = z1 *\n  sin(z2);  T2 = z1 *\n  sin(z2);\n",
+            [[(2, 9), (2, 6), (3, 3), (3, 7)], [(3, 21), (3, 18), (4, 3), (4, 7)]],
+            id="spanning_two_lines",
+        ),
+        pytest.param(
+            "dim 2;\r\nT1 = expi(re(z1)) *\r\n mat(U);\r\nT2 = expi(re(z1)) *\r\n mat(U);\r\n",
+            [[(2, 19), (2, 6), (2, 11), (2, 14), (3, 2)], [(4, 19), (4, 6), (4, 11), (4, 14), (5, 2)]],
+            id="crlf_line_ends",
+        ),
+        # the text up to the first ';' ends inside the comment, where no
+        # parse stopped: T2 is parsed again, not reused
+        pytest.param(
+            "dim 2;\nT1 = z1 # ; here\n + z2;\nT2 = z1 # ; here\n + z2;\n",
+            [[(3, 2), (2, 6), (3, 4)], [(5, 2), (4, 6), (5, 4)]],
+            id="semicolon_in_a_comment",
+        ),
+    ],
+)
+def test_repeated_right_hand_side_keeps_each_nodes_position(source, want):
+    spec = dsl.parse(source)
+    assert positions(spec) == want
+    assert spec.outputs[-1] == spec.outputs[-2]
+
+
+def without_repeats(source: str) -> str:
+    """`source`, one output a line, with a distinct comment ending each
+    right-hand side: no two are the same text, so each is parsed anew."""
+    lines = source.splitlines(keepends=True)
+    return "".join(
+        line.replace(";", f" # {k}\n;") if line.startswith("T") else line
+        for k, line in enumerate(lines)
+    )
+
+
+def dressed(n: int) -> str:
+    """exp(i alpha(z)) U z on C^n, the phase repeated in every output."""
+    phase = f"0.1*re(z1) - 0.2*im(z{n}) + 0.3*re(z{n // 2})*im(z2)"
+    return f"dim {n};\n" + "".join(f"T{k} = expi({phase}) * mat(U);\n" for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [path.read_text(encoding="utf-8") for path in CORPUS_FILES] + [dressed(8), dressed(64)],
+    ids=[path.stem for path in CORPUS_FILES] + ["dressed_n8", "dressed_n64"],
+)
+def test_reused_trees_equal_trees_parsed_anew(source):
+    spec, reference = dsl.parse(source), dsl.parse(without_repeats(source))
+    assert spec.outputs == reference.outputs
+    # output k of the reference stands k - 1 comment lines further down
+    moved = [[(line + k, column) for line, column in out] for k, out in enumerate(positions(spec))]
+    assert moved == positions(reference)
+
+
 @pytest.mark.parametrize(
     "expression, column",
     [
@@ -319,11 +392,13 @@ def recurse_then(depth: int, fn):
 def test_deepest_accepted_tree_stays_within_recursion_limit(kind):
     with pytest.raises(ParseError):
         dsl.parse(f"dim 1;\nT1 = {nest_to(dsl.MAX_DEPTH + 1, kind)};\n")
-    z = np.array([0.3 + 0.1j])
+    z = np.array([0.3 + 0.1j, -0.2j])
 
     def exercise():
-        # everything that recurses over a tree, with 200 frames to spare
-        spec = dsl.parse(f"dim 1;\nT1 = {nest_to(dsl.MAX_DEPTH, kind)};\n")
+        # everything that recurses over a tree, with 200 frames to spare; T2
+        # repeats T1, whose tree is rebuilt at T2's positions
+        deepest = nest_to(dsl.MAX_DEPTH, kind)
+        spec = dsl.parse(f"dim 2;\nT1 = {deepest};\nT2 = {deepest};\n")
         twin = dsl.parse(dsl.pretty_print(spec))
         assert twin.outputs == spec.outputs and hash(twin.outputs) == hash(spec.outputs)
         jacobian_oracle(spec, z)
@@ -422,6 +497,19 @@ MALFORMED = {
     "variable_index_of_5000_digits": (
         "dim 1;\nT1 = z" + "1" * 5000 + ";",
         UnknownIdentifier, f"variable z{'1' * 5000} out of range for dimension 1", 2, 6, (),
+    ),
+    # after a repeated right-hand side, errors stand at their own tokens
+    "syntax_error_after_a_repeat": (
+        f"dim 3;\nT1 = {PHASE_AT};\nT2 = {PHASE_AT};\nT3 = {PHASE_AT} +;\n",
+        ParseError, "expected an expression, found ';'", 4, 29, EXPRESSION,
+    ),
+    "bad_character_after_a_repeat_before_a_syntax_error": (
+        f"dim 3;\nT1 = {PHASE_AT};\nT2 = {PHASE_AT};$ T3 = +;\n",
+        ParseError, "unexpected character '$'", 3, 28, (),
+    ),
+    "variable_out_of_range_after_a_repeat_on_its_line": (
+        f"dim 3;\nT1 = {PHASE_AT};\nT2 = {PHASE_AT}; T3 = z9; $\n",
+        UnknownIdentifier, "variable z9 out of range for dimension 3", 3, 34, (),
     ),
     "dimension_of_5000_digits": (
         "dim " + "1" * 5000 + ";\nT1 = z1;", ParseError, "dimension has too many digits", 1, 5, ()

@@ -268,15 +268,28 @@ def joins(left: str, right: str) -> bool:
 @st.composite
 def spaced_sources(draw):
     """(source, outputs, positions): a random spec printed with random gaps,
-    and the (line, column) of each node's token in walk order, output by output."""
+    and the (line, column) of each node's token in walk order, output by output.
+
+    An output may repeat an earlier output's right-hand side verbatim: its
+    tokens and the gaps between them up to its ';', with new gaps around."""
     n = draw(st.sampled_from(sorted(TREES)))
-    outputs = tuple(draw(TREES[n]) for _ in range(n))
-    tokens, owners = ["dim", str(n), ";"], []
-    for k, tree in enumerate(outputs, start=1):
-        tokens += [f"T{k}", "="]
+    separators = st.sampled_from(SEPARATORS)
+    sides = []  # (tree, tokens, owners, the gap after each token, the last one before ';')
+    for _ in range(n):
+        if sides and draw(st.booleans()):
+            sides.append(draw(st.sampled_from(sides)))
+            continue
+        tree, tokens, owners = draw(TREES[n]), [], []
         print_tokens(tree, tokens, owners)
-        tokens.append(";")
-    gaps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+        side_gaps = draw(st.lists(separators, min_size=len(tokens), max_size=len(tokens)))
+        sides.append((tree, tokens, owners, side_gaps))
+    tokens, owners = ["dim", str(n), ";"], []
+    gaps = draw(st.lists(separators, min_size=4, max_size=4))  # before "dim", after each of its 3 tokens
+    for k, (_, side, side_owners, side_gaps) in enumerate(sides, start=1):
+        tokens += [f"T{k}", "="]
+        owners += [len(tokens) + owner for owner in side_owners]
+        tokens += side + [";"]
+        gaps += draw(st.lists(separators, min_size=2, max_size=2)) + side_gaps + [draw(separators)]
     source, offsets = gaps[0], []
     for i, token in enumerate(tokens):
         offsets.append(len(source))
@@ -290,7 +303,7 @@ def spaced_sources(draw):
         offset = offsets[owner]
         line_start = source.rfind("\n", 0, offset) + 1
         positions.append((source.count("\n", 0, offset) + 1, offset - line_start + 1))
-    return source, outputs, positions
+    return source, tuple(side[0] for side in sides), positions
 
 
 @PROPERTY_SETTINGS
