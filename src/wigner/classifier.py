@@ -35,7 +35,7 @@ from .errors import (
 )
 from .gauge import PRESERVE_TOL, gauge_fix
 from .states import Transformation, as_array, random_state, zero_state
-from .wirtinger import DEFAULT_STEP, WirtingerJacobian, richardson_refine, wirtinger_jacobian
+from .wirtinger import DEFAULT_STEP, WirtingerJacobian, ladder, richardson_refine, wirtinger_jacobian
 
 LINEAR = "linear"
 ANTILINEAR = "antilinear"
@@ -267,15 +267,8 @@ def _require_unitary(matrix: np.ndarray, tol: float) -> float:
 
 
 def _smoothness_diagnostic(fixed, step: float) -> SmoothnessDiagnostic:
-    j0 = wirtinger_jacobian(fixed, zero_state(fixed.dimension), step)
-    j1 = wirtinger_jacobian(fixed, zero_state(fixed.dimension), step / 2.0)
-    j2 = wirtinger_jacobian(fixed, zero_state(fixed.dimension), step / 4.0)
-    coarse = float(
-        max(np.abs(j0.d_z - j1.d_z).max(), np.abs(j0.d_zbar - j1.d_zbar).max())
-    )
-    fine = float(
-        max(np.abs(j1.d_z - j2.d_z).max(), np.abs(j1.d_zbar - j2.d_zbar).max())
-    )
+    rungs = ladder(fixed, zero_state(fixed.dimension), step, 3)
+    coarse, fine = map(float, np.abs(np.diff(rungs, axis=0)).max(axis=(1, 2, 3)))
     ratio = coarse / fine if fine > 1e-13 else None
     return SmoothnessDiagnostic(
         coarse_difference=coarse, fine_difference=fine, halving_ratio=ratio

@@ -26,12 +26,13 @@ that starts no token is refused only once the parser reaches it.
 
 NUMBER is an unsigned decimal, optionally in scientific notation, with an
 optional trailing `i` marking an imaginary literal; bare `i` is the
-imaginary unit. A complex constant `a+bi` is therefore ordinary addition
-of two literals and binds with standard precedence, so write `(1+2i)*z1`
-to scale by a full complex constant. VAR is `z1` .. `zn`. FUNC is one of
-conj, re, im, abs2, exp, sin, cos, expi, with expi(x) = exp(i*x); norm2()
-is |z1|^2 + ... + |zn|^2. Every assignment T1..Tn must appear exactly
-once.
+imaginary unit. Its value must fit a double: one that rounds to infinity
+is a ParseError at its token. A complex constant `a+bi` is therefore
+ordinary addition of two literals and binds with standard precedence, so
+write `(1+2i)*z1` to scale by a full complex constant. VAR is `z1` ..
+`zn`. FUNC is one of conj, re, im, abs2, exp, sin, cos, expi, with
+expi(x) = exp(i*x); norm2() is |z1|^2 + ... + |zn|^2. Every assignment
+T1..Tn must appear exactly once.
 
 `mat(NAME)` applies the named constant matrix to the whole input vector
 and yields the component for the output row being defined: in the
@@ -183,11 +184,12 @@ _VAR = _re.compile(r"z([1-9][0-9]*)").fullmatch
 _TARGET = _re.compile(r"T([1-9][0-9]*)").fullmatch
 
 
-def _tokenize(source: str, start: int = 0, line: int = 1, line_start: int = 0):
+def _tokenize(source: str, start: int = 0, line: int = 1):
     """Yield (kind, text, line, column, offset) per token of `source` from
-    `start`, which lies on `line` at offset `line_start`; kind "number",
-    "ident", "punct" or last "eof" (text "", column 1); lazily, so a parse
-    never holds every token and a bad character raises only once reached."""
+    `start`, which lies on `line`; kind "number", "ident", "punct" or last
+    "eof" (text "", column 1); lazily, so a parse never holds every token
+    and a bad character raises only once reached."""
+    line_start = source.rfind("\n", 0, start) + 1
     for match in _TOKEN_RE.finditer(source, start):
         kind = match.lastgroup
         if kind == "newline":
@@ -273,10 +275,13 @@ class _Parser:
             self.expect(")")
             return node
         if kind == "number":
+            imaginary = text[-1] == "i"
+            value = float(text[:-1] if imaginary else text)
+            if value == np.inf:
+                self.fail("number out of float range", tok)
             self.tok = next(self.tokens)
-            if text[-1] == "i":
-                return Literal(complex(0.0, float(text[:-1])), (line, column)), level
-            return Literal(complex(float(text), 0.0), (line, column)), level
+            value = complex(0.0, value) if imaginary else complex(value, 0.0)
+            return Literal(value, (line, column)), level
         if kind != "ident":
             self.fail(f"expected an expression, found {_found(tok)}", tok, _EXPRESSION_START)
         self.tok = next(self.tokens)
@@ -322,9 +327,7 @@ class _Parser:
         text = self.source[start:end] if end >= 0 else None
         if text in parsed:
             tree, first_line, first_column = parsed[text]
-            newline = text.rfind("\n")
-            line_start = start + newline + 1 if newline >= 0 else start - column + 1
-            self.tokens = _tokenize(self.source, end, line + text.count("\n"), line_start)
+            self.tokens = _tokenize(self.source, end, line + text.count("\n"))
             self.tok = next(self.tokens)
             return _moved(tree, first_line, line - first_line, column - first_column)
         tree = self.parse_expression()[0]

@@ -20,7 +20,9 @@ instead: `gauge._theta_from` (NotProbabilityPreserving), the residual-phase
 self-check of `gauge_fix` (MixedBranch: it measures a phase, not a modulus),
 `classifier._decide_branch` (MixedBranch, a two-sided test), the
 DegeneratePair checks of `extract_theta` and of `origin_phase`, and
-`align_global_phase` (ZeroReference). Every setting
+`align_global_phase` (ZeroReference). The two gauge checks still follow
+the rule (a value at its tolerance, or NaN, fails), written inline on the
+probe hot path. Every setting
 passes by one table, `setting_problem`: every module reads its bounds
 through `require_settings`, which raises SchemaError.
 """

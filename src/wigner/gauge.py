@@ -85,8 +85,8 @@ def require_origin_fixed(transform: Transformation) -> float:
 
 def _theta_from(numerator: complex, overlap: complex, preserve_tol: float) -> float:
     ratio = numerator / overlap
-    # written so that a NaN ratio fails too
-    if not abs(abs(ratio) - 1.0) <= preserve_tol:
+    # the one pass rule, inline on the probe hot path: at the tolerance or NaN fails
+    if not abs(abs(ratio) - 1.0) < preserve_tol:
         raise NotProbabilityPreserving(
             f"|<Tw|Tz>| / |<w|z>| = {abs(ratio):.6g}, expected 1 within {preserve_tol:g}"
         )
@@ -108,7 +108,8 @@ def extract_theta(
     z = as_state(z, transform.dimension)
     overlap = complex(np.vdot(w, z))
     bound = DEGENERATE_TOL * float(np.linalg.norm(w)) * float(np.linalg.norm(z))
-    if abs(overlap) <= bound or overlap == 0:
+    # a NaN bound (norms past float range) cannot clear the pair either
+    if not abs(overlap) > bound:
         raise DegeneratePair(
             f"|<w|z>| = {abs(overlap):.3g} at or below threshold {bound:.3g}"
         )
@@ -255,7 +256,7 @@ def gauge_fix(
     images = fixed(_probe_points(references)).reshape(REFERENCE_SAMPLES, len(_PROBES), n)
     for z, z_images in zip(references, images):
         residual = origin_phase(fixed, z, preserve_tol, images=z_images)
-        if angle_distance(residual, 0.0) > RESIDUAL_PHASE_TOL:
+        if not angle_distance(residual, 0.0) < RESIDUAL_PHASE_TOL:
             raise MixedBranch(f"residual origin phase {residual:.3g} after gauge fixing")
     return fixed
 

@@ -174,14 +174,18 @@ def default_manifest() -> list[dict]:
     return entries
 
 
+_ENTRY_KEYS = {"kind", "n", "seed", "dressing_degree"}
+
+
 def validate_manifest(obj) -> list[dict]:
     """Check a parsed manifest against the corpus schema.
 
     The manifest is a non-empty JSON list of entries {kind, n, seed,
-    dressing_degree?}: n in 1..DIMENSION_CAP, seed a non-negative integer,
-    dressing_degree in 0..MAX_DRESSING_DEGREE (default 0), bounded for
-    every kind though only symmetry kinds are dressed.
-    Raises SchemaError with the offending index, before any map is built.
+    dressing_degree?} with no other key: n in 1..DIMENSION_CAP, seed a
+    non-negative integer, dressing_degree in 0..MAX_DRESSING_DEGREE
+    (default 0), bounded for every kind though only symmetry kinds are
+    dressed. Raises SchemaError with the offending index (and the first
+    unknown key in sorted order), before any map is built.
     """
     if not isinstance(obj, list) or not obj:
         raise SchemaError("manifest must be a non-empty list of entries")
@@ -190,6 +194,9 @@ def validate_manifest(obj) -> list[dict]:
     for idx, raw in enumerate(obj):
         if not isinstance(raw, dict):
             raise SchemaError(f"entry {idx} is not an object")
+        unknown = sorted(raw.keys() - _ENTRY_KEYS, key=str)
+        if unknown:
+            raise SchemaError(f"entry {idx}: unknown key {unknown[0]!r}")
         kind = raw.get("kind")
         if kind not in known:
             raise SchemaError(f"entry {idx}: unknown kind {kind!r}")

@@ -14,9 +14,9 @@ measures. Central differences are second order, so evaluators need to be
 smooth enough for that (no attempt is made to handle weaker regularity,
 and no one-sided stencils are provided).
 
-Richardson refinement re-evaluates the stencil at halved steps and
-cancels the leading truncation terms; each level raises the error order
-by two for sufficiently smooth maps.
+Richardson refinement re-evaluates the stencil at halved steps (the rungs
+of one `ladder`) and cancels the leading truncation terms; each level
+raises the error order by two for sufficiently smooth maps.
 """
 
 from dataclasses import dataclass
@@ -89,6 +89,13 @@ def wirtinger_jacobian(
     return WirtingerJacobian(d_z=d_z, d_zbar=d_zbar, at=z)
 
 
+def ladder(transform: Transformation, at, step: float, rungs: int) -> np.ndarray:
+    """The (rungs, 2, n, n) array of (d_z, d_zbar) at step * 2^-k for
+    k = 0..rungs-1: one `wirtinger_jacobian` per rung, bit for bit."""
+    jacobians = [wirtinger_jacobian(transform, at, step / 2.0**k) for k in range(rungs)]
+    return np.array([(j.d_z, j.d_zbar) for j in jacobians])
+
+
 def richardson_refine(
     transform: Transformation, at, base_step: float, levels: int
 ) -> WirtingerJacobian:
@@ -97,15 +104,12 @@ def richardson_refine(
     `levels` in 0..4; each level halves the step once more and cancels the
     next even-order truncation term (error order 2*(levels+1) for smooth
     maps), and level 0 is the plain Jacobian, bit for bit. Costs (levels+1)
-    plain Jacobians. Finite Jacobians whose combination overflows raise
-    NonFiniteEvaluation.
+    plain Jacobians, the rungs of one `ladder`. Finite Jacobians whose
+    combination overflows raise NonFiniteEvaluation.
     """
     require_settings({"levels": levels, "stencil step": base_step})
-    ladder = [
-        wirtinger_jacobian(transform, at, base_step / 2.0**k)
-        for k in range(levels + 1)
-    ]
-    table = np.array([(j.d_z, j.d_zbar) for j in ladder])  # (levels + 1, 2, n, n)
+    z = as_state(at, transform.dimension)
+    table = ladder(transform, z, base_step, levels + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, levels + 1):
             weight = 4.0**m
@@ -113,7 +117,7 @@ def richardson_refine(
     if not np.isfinite(table).all():
         raise NonFiniteEvaluation(f"Richardson combination at step {base_step:g} overflows")
     d_z, d_zbar = table[0]
-    return WirtingerJacobian(d_z=d_z, d_zbar=d_zbar, at=ladder[0].at)
+    return WirtingerJacobian(d_z=d_z, d_zbar=d_zbar, at=z)
 
 
 @dataclass

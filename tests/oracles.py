@@ -21,13 +21,19 @@ points and agree with them to roundoff.
 
 `reference_origin_phase` is `gauge.origin_phase` as first written: it
 re-validates the point with `as_state` and reads the three probe phases
-in a loop with numpy-scalar probe scales. The scalar reading must return
-the same floats and raise the same errors wherever this one is defined.
+in a loop with numpy-scalar probe scales. Its one change since is that a
+probe ratio follows the one pass rule: a deviation equal to the
+tolerance fails, and so does a NaN. The scalar reading must return the
+same floats and raise the same errors wherever this one is defined.
 
 `reference_wirtinger_jacobian` is the two-call stencil: one evaluator
 call for the +-h offsets along the real axes, then one for the +-i*h
 offsets along the imaginary axes. The one-batch stencil evaluates the
 same points and must agree with it to roundoff.
+
+`reference_smoothness` is the smoothness diagnostic as first written,
+three Jacobians subtracted block by block; the diagnostic that reads the
+differences of one step-halving ladder must give the same floats.
 
 `hash_phase_symmetry` is not an oracle but a map every check must face:
 a true Wigner symmetry whose phase is continuous nowhere, outside the
@@ -44,6 +50,7 @@ from wigner.dsl import BinOp, Call, Literal, MatApply, Neg, TransformSpec, Var, 
 from wigner.errors import DivisionNearZero, NotProbabilityPreserving
 from wigner.gauge import _PROBES, PRESERVE_TOL, wrap_angle
 from wigner.states import Transformation, as_state
+from wigner.wirtinger import wirtinger_jacobian
 
 
 def _forward(node, z, row, mats):
@@ -278,7 +285,7 @@ def reference_isometry(transform, num_pairs, seed, tol):
 
 def _reference_theta_from(numerator, overlap, preserve_tol):
     ratio = numerator / overlap
-    if abs(abs(ratio) - 1.0) > preserve_tol:
+    if not abs(abs(ratio) - 1.0) < preserve_tol:  # the one pass rule: equal or NaN fails
         raise NotProbabilityPreserving(
             f"|<Tw|Tz>| / |<w|z>| = {abs(ratio):.6g}, expected 1 within {preserve_tol:g}"
         )
@@ -316,6 +323,17 @@ def reference_wirtinger_jacobian(transform, at, step):
     df_dx = _reference_central_differences(transform, z, step, 1.0)
     df_dy = _reference_central_differences(transform, z, step, 1j)
     return 0.5 * (df_dx - 1j * df_dy), 0.5 * (df_dx + 1j * df_dy)
+
+
+def reference_smoothness(fixed, step):
+    """(coarse, fine, ratio) of the step-halving diagnostic as first written:
+    three plain Jacobians at the origin, at step, step/2 and step/4, and the
+    max-norms of their differences taken block by block."""
+    zero = np.zeros(fixed.dimension, dtype=complex)
+    j0, j1, j2 = (wirtinger_jacobian(fixed, zero, step / k) for k in (1.0, 2.0, 4.0))
+    coarse = float(max(np.abs(j0.d_z - j1.d_z).max(), np.abs(j0.d_zbar - j1.d_zbar).max()))
+    fine = float(max(np.abs(j1.d_z - j2.d_z).max(), np.abs(j1.d_zbar - j2.d_zbar).max()))
+    return coarse, fine, coarse / fine if fine > 1e-13 else None
 
 
 def hash_phase_symmetry(kind: str, u: np.ndarray) -> Transformation:

@@ -19,6 +19,8 @@ from wigner.errors import (
 )
 from wigner.wirtinger import WirtingerJacobian
 
+from oracles import reference_smoothness
+
 
 def test_check_preservation_haar_unitary():
     transform = wg.make_symmetry("linear", wg.haar_unitary(4, 3))
@@ -103,6 +105,16 @@ def test_classify_smoothness_diagnostic_present():
     # a linear map differentiates exactly: differences at the noise floor
     assert smooth.fine_difference < 1e-10
     assert smooth.halving_ratio is None or smooth.halving_ratio > 0
+
+
+@pytest.mark.parametrize(
+    "kind, n, degree", [("linear", 1, 0), ("linear", 3, 2), ("antilinear", 2, 4), ("antilinear", 5, 1)]
+)
+def test_smoothness_reads_the_reference_formula(kind, n, degree):
+    transform = wg.make_symmetry(kind, wg.haar_unitary(n, n), wg.DressingSpec.random(n, degree, 5))
+    smooth = wg.classify(transform).smoothness
+    expected = reference_smoothness(wg.gauge_fix(transform), wg.ClassifyConfig().step)
+    assert (smooth.coarse_difference, smooth.fine_difference, smooth.halving_ratio) == expected
 
 
 def test_decide_branch_mixed_raises():

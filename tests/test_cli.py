@@ -265,6 +265,18 @@ def test_fuzz_empty_manifest_schema_error(tmp_path, capsys):
     assert report["error"] == "schema_error"
 
 
+def test_fuzz_manifest_with_an_unknown_key_is_refused_before_building(tmp_path, capsys, monkeypatch):
+    def no_building(*args, **kwargs):
+        raise AssertionError("built a map for an entry with an unknown key")
+
+    monkeypatch.setattr(wg.generators, "haar_unitary", no_building)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"kind": "linear", "n": 3, "seed": 1, "dressing-degree": 3}]))
+    code, report = run_json(["fuzz", "--manifest", str(manifest)], capsys)
+    assert (code, report["error"]) == (1, "schema_error")
+    assert report["detail"] == "entry 0: unknown key 'dressing-degree'"
+
+
 def test_mazur_ulam_rotation(tmp_path, capsys):
     spec = write_spec(tmp_path, ROTATION)
     code, report = run_json(["mazur-ulam", "--spec", spec], capsys)
@@ -312,6 +324,22 @@ def test_overflowing_point_constant_is_non_finite_evaluation(tmp_path, capsys):
     code, report = run_json(["diff", "--spec", spec, "--point", "exp(1000),0"], capsys)
     assert code == 2
     assert report["error"] == "non_finite_evaluation"
+
+
+@pytest.mark.parametrize(
+    "argv, column",
+    [
+        (["classify", "--spec", "past_range.wig"], 13),
+        (["diff", "--spec", "identity.wig", "--point", "1e400,0"], 1),
+    ],
+)
+def test_literal_past_float_range_is_parse_error(tmp_path, capsys, argv, column):
+    (tmp_path / "past_range.wig").write_text("dim 2; T1 = 1e400 * z1; T2 = z2;")
+    (tmp_path / "identity.wig").write_text(IDENTITY)
+    argv = [str(tmp_path / arg) if arg.endswith(".wig") else arg for arg in argv]
+    code, report = run_json(argv, capsys)
+    assert (code, report["error"]) == (1, "parse_error")
+    assert report["detail"] == f"1:{column}: number out of float range"
 
 
 def test_overflowing_spec_leaves_stderr_empty(tmp_path):
@@ -1042,7 +1070,7 @@ MANIFESTS = st.one_of(
                 wg.generators.SYMMETRY_KINDS + wg.generators.ADVERSARY_KINDS + ("bogus",)),
              "n": st.integers(-1, 6),
              "seed": st.integers(-1, 10**6)},
-            optional={"dressing_degree": st.integers(-1, 5)},
+            optional={"dressing_degree": st.integers(-1, 5), "dressing-degree": st.integers(0, 4)},
         ),
         max_size=3,
     ),

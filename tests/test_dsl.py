@@ -511,6 +511,14 @@ MALFORMED = {
         f"dim 3;\nT1 = {PHASE_AT};\nT2 = {PHASE_AT}; T3 = z9; $\n",
         UnknownIdentifier, "variable z9 out of range for dimension 3", 3, 34, (),
     ),
+    # a literal that rounds to infinity is refused at its token, before
+    # anything after it is read
+    "real_literal_past_float_range": (
+        "dim 2; T1 = 1e400 * z1; T2 = z2;", ParseError, "number out of float range", 1, 13, ()
+    ),
+    "imaginary_literal_past_float_range": (
+        "dim 1;\nT1 = z1 + 2e308i $", ParseError, "number out of float range", 2, 11, ()
+    ),
     "dimension_of_5000_digits": (
         "dim " + "1" * 5000 + ";\nT1 = z1;", ParseError, "dimension has too many digits", 1, 5, ()
     ),
@@ -570,6 +578,8 @@ CONSTANTS_MALFORMED = {
     # after the parse, so a trailing-input error still comes first
     "z" + "1" * 5000: ("constant expressions cannot reference the state", 1, 1, ()),
     "z" + "1" * 5000 + ")": ("trailing input ')'", 1, 5002, ()),
+    "1e400": ("number out of float range", 1, 1, ()),
+    "1 + 1" + "0" * 400 + "i": ("number out of float range", 1, 5, ()),
 }
 
 
@@ -588,7 +598,8 @@ def test_malformed_constant_is_refused_exactly(text):
 
 @pytest.mark.parametrize(
     "text, value",
-    [("١+1", 2 + 0j), ("-i*2.5e-3", -0.0025j), ("\t(1 + 2i) * 2\xa0", 2 + 4j), ("1 # 2", 1 + 0j)],
+    [("١+1", 2 + 0j), ("-i*2.5e-3", -0.0025j), ("\t(1 + 2i) * 2\xa0", 2 + 4j), ("1 # 2", 1 + 0j),
+     ("1.7976931348623157e308", 1.7976931348623157e308 + 0j)],
 )
 def test_constant_values(text, value):
     assert dsl.parse_constant(text) == value

@@ -7,6 +7,7 @@ import pytest
 import wigner as wg
 from wigner.errors import (
     DegeneratePair,
+    MixedBranch,
     NotProbabilityPreserving,
     OriginNotFixed,
 )
@@ -54,6 +55,35 @@ def test_orthogonal_pair_is_degenerate():
     transform, _ = unitary_transform(3, 11)
     with pytest.raises(DegeneratePair):
         wg.extract_theta(transform, *np.eye(3, dtype=complex)[:2])
+
+
+def test_pair_whose_norms_pass_float_range_is_degenerate():
+    # the bound is NaN there, and a NaN bound clears no pair, a zero overlap least of all
+    transform, _ = unitary_transform(2, 11)
+    with np.errstate(over="ignore"), pytest.raises(DegeneratePair):
+        wg.extract_theta(transform, np.array([1e300, 0.0]), np.zeros(2))
+
+
+@pytest.mark.parametrize("numerator", [1.5, -1.5j])
+def test_probe_overlap_at_its_tolerance_fails(numerator):
+    with pytest.raises(NotProbabilityPreserving):
+        wg.gauge._theta_from(numerator, 1.0, 0.5)
+    assert wg.gauge._theta_from(1.25, 1.0, 0.5) == 0.0
+
+
+@pytest.mark.parametrize("residual", [wg.gauge.RESIDUAL_PHASE_TOL, math.nan])
+def test_self_check_fails_at_its_tolerance_and_on_nan(monkeypatch, residual):
+    origin_phase = wg.gauge.origin_phase
+
+    def residual_after_fixing(transform, *args, **kwargs):
+        if isinstance(transform, wg.gauge.GaugeFixedTransformation):
+            return residual
+        return origin_phase(transform, *args, **kwargs)
+
+    monkeypatch.setattr(wg.gauge, "origin_phase", residual_after_fixing)
+    transform, _ = unitary_transform(2, 3)
+    with pytest.raises(MixedBranch, match="residual origin phase"):
+        wg.gauge_fix(transform)
 
 
 def test_scaling_is_not_preserving():

@@ -184,6 +184,11 @@ def test_validate_manifest_errors():
             {"kind": "scaling", "n": 2, "seed": 1, "dressing_degree": "x"},
             "dressing_degree must be an integer, got str",
         ),
+        (
+            {"kind": "linear", "n": 3, "seed": 1, "dressing-degree": 3},
+            "unknown key 'dressing-degree'",
+        ),
+        ({"kind": "mystery", "n": 0, "zeta": 1, "alpha": 2}, "unknown key 'alpha'"),
     ],
 )
 def test_validate_manifest_refuses_values_no_map_can_take(entry, message):

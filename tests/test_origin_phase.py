@@ -153,10 +153,12 @@ def test_underflowing_probe_overlap_is_a_degenerate_pair():
 
 
 def test_overflowing_norm_is_a_non_finite_evaluation():
-    # |z|^2 overflows at |z| ~ 1e160; the first version returned NaN
+    # |z|^2 overflows at |z| ~ 1e160; the first version returned NaN, and
+    # its reference, under the one pass rule, refuses the NaN ratio
     transform, fixed = edge_maps(3)
     z = 1e160 * wg.random_state(3, np.random.default_rng(3))
-    assert np.isnan(reference_origin_phase(transform, z))
+    with pytest.raises(NotProbabilityPreserving, match="= nan"):
+        reference_origin_phase(transform, z)
     with pytest.raises(NonFiniteEvaluation, match="overflows"):
         wg.origin_phase(transform, z)
     with pytest.raises(NonFiniteEvaluation, match="overflows"):
@@ -170,7 +172,8 @@ def test_nan_ratio_is_not_probability_preserving():
     z = wg.random_state(3, np.random.default_rng(4))
     images = transform(gauge._PROBES * z)
     images[2, 0] = np.nan
-    assert np.isnan(reference_origin_phase(transform, z, images=images))
+    with pytest.raises(NotProbabilityPreserving, match="= nan"):
+        reference_origin_phase(transform, z, images=images)
     with pytest.raises(NotProbabilityPreserving):
         wg.origin_phase(transform, z, images=images)
 
@@ -178,10 +181,12 @@ def test_nan_ratio_is_not_probability_preserving():
 def test_gauge_fix_refuses_a_map_whose_probe_overlaps_are_nan():
     # a scaling by 1e200 keeps the images finite, but the real and imaginary
     # parts of their overlap overflow to inf - inf: the first version read a
-    # NaN phase, and gauge_fix's residual check let the NaN through
+    # NaN phase, and gauge_fix's residual check let the NaN through; its
+    # reference, under the one pass rule, refuses the NaN ratio
     transform = wg.Transformation(lambda z: 1e200 * z, 1, vectorized=True)
     z = np.array([0.6 + 0.8j])
-    assert np.isnan(reference_origin_phase(transform, z))
+    with pytest.raises(NotProbabilityPreserving, match="= nan"):
+        reference_origin_phase(transform, z)
     with pytest.raises(NotProbabilityPreserving, match="= nan"):
         wg.origin_phase(transform, z)
     with pytest.raises(NotProbabilityPreserving, match="= nan"):

@@ -100,6 +100,18 @@ def test_richardson_levels_validated():
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
+def test_each_rung_of_the_ladder_is_the_plain_jacobian_bit_for_bit(n):
+    dressing = wg.DressingSpec.random(n, 2, 7)
+    transform = wg.make_symmetry("linear", wg.haar_unitary(n, 7), dressing)
+    at = wg.random_state(n, np.random.default_rng(n))
+    rungs = wg.wirtinger.ladder(transform, at, 1e-3, 4)
+    assert rungs.shape == (4, 2, n, n)
+    for k, rung in enumerate(rungs):
+        plain = wg.wirtinger_jacobian(transform, at, 1e-3 / 2**k)
+        assert rung.tobytes() == np.array([plain.d_z, plain.d_zbar]).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
 def test_richardson_level_0_is_the_plain_jacobian_bit_for_bit(n):
     dressing = wg.DressingSpec.random(n, 3, 5)
     transform = wg.make_symmetry("antilinear", wg.haar_unitary(n, 5), dressing)
