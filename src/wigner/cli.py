@@ -65,7 +65,7 @@ SCHEMA_VERSION = 1
 _REAL = {"type": ["number", "null"]}
 _INTEGER = {"type": "integer"}
 _STRING = {"type": "string"}
-_BRANCH = {"enum": ["linear", "antilinear"]}
+_BRANCH = {"enum": list(SYMMETRY_KINDS)}
 _COMPLEX_PAIR = {"type": "array", "items": _REAL, "minItems": 2, "maxItems": 2}
 _COMPLEX_MATRIX = {"type": "array", "items": {"type": "array", "items": _COMPLEX_PAIR}}
 

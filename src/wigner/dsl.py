@@ -500,8 +500,8 @@ def compile_to_transformation(spec: TransformSpec, constants=None) -> Transforma
     """Compile the spec, closed over its resolved constants, to a Transformation.
 
     Matrix references are resolved once, up front (UnknownMatrix,
-    DimensionMismatch, and SchemaError for `constants` not a mapping, surface
-    here, not at evaluation time), and the n output trees are lowered to one
+    DimensionMismatch, and SchemaError for `constants` not a mapping or a
+    non-finite matrix, surface here), and the n output trees are lowered to one
     program in which each distinct subterm is evaluated once per batch: a
     phase shared by every output is computed once, not n times. The returned
     evaluator is vectorized, immutable and safe for concurrent callers.
@@ -608,19 +608,17 @@ def read_json(path, what: str):
 
 
 def load_constants(path) -> dict[str, np.ndarray]:
-    """Load a JSON constants file: {name: [[[re, im], ...] per row, ...]}."""
+    """Load a JSON constants file: {name: [[[re, im], ...] per row, ...]}. Only
+    that layout is checked here; a matrix's shape and finiteness, where a spec reads it."""
     raw = read_json(path, "constants")
     if not isinstance(raw, dict):
         raise SchemaError("constants file must be a JSON object")
     constants = {}
     for name, rows in raw.items():
         arr = as_array(rows, f"matrix {name!r}", np.float64)
-        if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
+        if arr.ndim != 3 or arr.shape[2] != 2:
             raise SchemaError(
-                f"matrix {name!r} must be square with [re, im] entries, "
-                f"got shape {arr.shape}"
+                f"matrix {name!r} must be rows of [re, im] entries, got shape {arr.shape}"
             )
-        if not np.isfinite(arr).all():
-            raise SchemaError(f"matrix {name!r} has a non-finite entry")
         constants[name] = arr[:, :, 0] + 1j * arr[:, :, 1]
     return constants

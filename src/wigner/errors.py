@@ -173,10 +173,11 @@ class UnknownMatrix(WignerError):
 
 
 class DivisionNearZero(WignerError):
-    """A division node evaluated with a divisor of modulus below 1e-300."""
+    """A division node evaluated with a divisor of modulus below 1e-300; the
+    message leads with the line:column of its '/', as a ParseError's does."""
 
-    def __init__(self, message, line=0, column=0):
-        super().__init__(message)
+    def __init__(self, message, line, column):
+        super().__init__(f"{line}:{column}: {message}")
         self.line = line
         self.column = column
 

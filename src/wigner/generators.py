@@ -10,11 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import DIMENSION_CAP, unitarity_residual
+from .classifier import ANTILINEAR, DIMENSION_CAP, LINEAR, unitarity_residual
 from .errors import DimensionMismatch, NotUnitaryInput, SchemaError, require_settings
 from .states import Transformation, as_array
 
-SYMMETRY_KINDS = ("linear", "antilinear")
+SYMMETRY_KINDS = (LINEAR, ANTILINEAR)
 ADVERSARY_KINDS = ("scaling", "shear", "norm_warp", "rank_deficient")
 
 DRESSING_RIDGES = 2
@@ -101,7 +101,7 @@ def make_symmetry(kind: str, matrix, dressing: "DressingSpec | None" = None) -> 
     n = u.shape[0]
     NotUnitaryInput.unless_below(unitarity_residual(u), 1e-10, "|U*U - I| =")
 
-    flip = np.conj if kind == "antilinear" else np.asarray
+    flip = np.conj if kind == ANTILINEAR else np.asarray
     if dressing is None:
         evaluator = lambda z: flip(z) @ u.T
     else:
@@ -157,7 +157,7 @@ def default_manifest() -> list[dict]:
     for i in range(40):
         entries.append(
             {
-                "kind": "linear" if i < 20 else "antilinear",
+                "kind": LINEAR if i < 20 else ANTILINEAR,
                 "n": 2 + i % 7,
                 "seed": 9000 + i,
                 "dressing_degree": i % 4,

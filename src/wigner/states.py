@@ -1,7 +1,6 @@
 """State vectors and evaluatable transformations on C^n, fed only through `as_array`."""
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -97,9 +96,6 @@ class Transformation:
     dtype = np.complex128
 
     def __post_init__(self):
-        # an integer below 1 is a shape problem, any other bad value a schema one
-        if isinstance(self.dimension, Integral) and self.dimension < 1:
-            raise DimensionMismatch("dimension must be at least 1")
         require_settings({"n": self.dimension}, lambda name: "dimension")
 
     def __call__(self, z) -> np.ndarray:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -115,6 +116,22 @@ def test_smoothness_reads_the_reference_formula(kind, n, degree):
     smooth = wg.classify(transform).smoothness
     expected = reference_smoothness(wg.gauge_fix(transform), wg.ClassifyConfig().step)
     assert (smooth.coarse_difference, smooth.fine_difference, smooth.halving_ratio) == expected
+
+
+@pytest.mark.parametrize("norms, branch", [
+    ((1e-4, 0.0), "linear"),
+    ((0.0, 1e-4), "antilinear"),
+    ((0.5, 1e-4), None),
+    ((1e-4, 0.5), None),
+])
+def test_decide_branch_counts_a_block_at_tol_branch_as_live(norms, branch):
+    d_z, d_zbar = (norm * np.eye(2) for norm in norms)
+    jac = WirtingerJacobian(d_z=d_z, d_zbar=d_zbar, at=np.zeros(2))
+    if branch is None:
+        with pytest.raises(MixedBranch):
+            _decide_branch(jac, tol_branch=1e-4)
+    else:
+        assert _decide_branch(jac, tol_branch=1e-4)[0] == branch
 
 
 def test_decide_branch_mixed_raises():
@@ -277,6 +294,8 @@ def test_classify_config_accepts_its_bounds():
     for step in STEP_RANGE:
         assert wg.ClassifyConfig(step=step).step == step
     assert wg.ClassifyConfig(tol_branch=TOL_BRANCH_MAX).tol_branch == TOL_BRANCH_MAX
+    largest = sys.float_info.max  # finite, so a valid tolerance
+    assert wg.ClassifyConfig(tol_preserve=largest).tol_preserve == largest
     assert wg.ClassifyConfig(samples=1, seed=0).samples == 1
     assert wg.ClassifyConfig(samples=MAX_SAMPLES).samples == MAX_SAMPLES
 

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import pathlib
 import re
 import subprocess
@@ -183,6 +184,15 @@ def test_diff_identity(tmp_path, capsys):
     d_zbar = np.array([[complex(re, im) for re, im in row] for row in report["d_zbar"]])
     assert np.abs(d_z - np.eye(2)).max() < 1e-9
     assert np.abs(d_zbar).max() < 1e-9
+
+
+def test_diff_reads_a_d_zbar_at_tol_branch_as_not_analytic(tmp_path, capsys):
+    spec = write_spec(tmp_path, "dim 1;\nT1 = z1 + 0.001 * conj(z1);\n")
+    d_zbar_max = run_json(["diff", "--spec", spec], capsys)[1]["d_zbar_max"]
+    for tol_branch, verdict in [(d_zbar_max, "not_analytic"),
+                                (math.nextafter(d_zbar_max, 1.0), "analytic")]:
+        code, report = run_json(["diff", "--spec", spec, f"--tol-branch={tol_branch!r}"], capsys)
+        assert (code, report["verdict"]) == (0, verdict)
 
 
 def test_diff_conjugation(tmp_path, capsys):
@@ -394,6 +404,29 @@ def test_non_finite_constant_is_schema_error(tmp_path, capsys, entry):
     assert "'U'" in report["detail"]
 
 
+def test_constants_are_checked_only_where_the_spec_reads_them(tmp_path, capsys):
+    spec = write_spec(tmp_path, "dim 2;\nT1 = mat(U);\nT2 = mat(U);\n")
+    constants = tmp_path / "constants.json"
+    square = "[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]"
+    constants.write_text('{"U": %s, "W": [[[NaN, 0]]]}' % square)
+    code, report = run_json(["classify", "--spec", spec, "--constants", str(constants)], capsys)
+    assert (code, report["verdict"], report["branch"]) == (0, "symmetry", "linear")
+    constants.write_text('{"U": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]}')
+    code, report = run_json(["classify", "--spec", spec, "--constants", str(constants)], capsys)
+    assert (code, report["error"]) == (1, "dimension_mismatch")
+    assert report["detail"] == "matrix 'U' has shape (2, 3), expected (2, 2)"
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["classify"], "3:14: divisor modulus below 1e-300"),
+    (["diff", "--point", "1/0,0"], "1:2: divisor modulus below 1e-300"),
+])
+def test_division_near_zero_report_names_its_position(tmp_path, capsys, argv, detail):
+    spec = write_spec(tmp_path, "dim 2;\nT1 = z1;\nT2 = z2 * z1 / z1;\n")
+    code, report = run_json(argv + ["--spec", spec], capsys)
+    assert (code, report["error"], report["detail"]) == (2, "division_near_zero", detail)
+
+
 def test_string_constant_entry_is_schema_error(tmp_path, capsys):
     spec = write_spec(tmp_path, "dim 1;\nT1 = mat(U);\n")
     constants = tmp_path / "constants.json"
@@ -470,12 +503,14 @@ def test_reports_are_deterministic(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_timestamp_present_by_default(tmp_path, capsys):
+def test_timestamp_present_by_default(tmp_path, capsys, monkeypatch):
     spec = write_spec(tmp_path, IDENTITY)
+    clock = iter([10.0, 10.25])  # the run starts, then the report is assembled
+    monkeypatch.setattr(wg.cli.time, "perf_counter", lambda: next(clock))
     code, out = run_cli(["check", "--spec", spec], capsys)
     report = json.loads(out)
     assert "generated_at" in report
-    assert "timing_ms" in report
+    assert report["timing_ms"] == 250.0
 
 
 def test_csv_format_check_listing(tmp_path, capsys):
@@ -588,7 +623,8 @@ def test_every_error_type_has_exactly_one_exit_code():
     }
     assert len(defined) == 20
     for klass in defined:
-        exc = klass("boom", 1, 2) if issubclass(klass, errs.ParseError) else klass("boom")
+        located = issubclass(klass, (errs.ParseError, errs.DivisionNearZero))
+        exc = klass("boom", 1, 2) if located else klass("boom")
         code, payload = _error_payload(exc)
         assert (code, payload["error"]) == (klass.exit_code, klass.code)
         assert payload["detail"] == str(exc)
@@ -995,6 +1031,11 @@ def test_human_format_of_an_n1_classify_names_its_caveat(tmp_path, capsys):
     code, out = human(["classify", "--spec", write_spec(tmp_path, PHASE_SINGLE)], capsys)
     assert code == 0
     assert out.splitlines()[-1] == "caveats: n1_branch_indistinct"
+
+
+def test_human_format_flags_a_value_at_its_tolerance():
+    assert wg.cli._checked("residual:", 1e-6, 1e-6) == "residual: 1e-06 [EXCEEDS 1e-06]"
+    assert wg.cli._checked("residual:", 9e-7, 1e-6) == "residual: 9e-07 [ok]"
 
 
 def test_human_format_flags_residuals(tmp_path, capsys):

@@ -114,6 +114,9 @@ def test_division_near_zero():
     spec = dsl.parse("dim 1; T1 = z1 / (z1 - z1);")
     with pytest.raises(DivisionNearZero):
         dsl.evaluate(spec, np.array([1.0 + 0j]))
+    # a divisor of modulus exactly 1e-300 is not below the floor
+    out = dsl.evaluate(dsl.parse("dim 1; T1 = z1 / 1e-300;"), np.array([2.0 + 0j]))
+    assert out[0] == pytest.approx(2e300)
 
 
 def test_unknown_matrix_at_compile():
@@ -246,15 +249,20 @@ def test_conjugating_specs_fail_analyticity():
 def test_constants_schema_errors(tmp_path):
     bad = tmp_path / "c.json"
     bad.write_text('{"U": [[1, 2], [3, 4]]}')
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as err:
         dsl.load_constants(bad)
+    assert str(err.value) == "matrix 'U' must be rows of [re, im] entries, got shape (2, 2)"
     bad.write_text("not json")
     with pytest.raises(SchemaError):
         dsl.load_constants(bad)
+    # a matrix's finiteness is checked where a spec reads it, and only there
     for entry in ("NaN", "Infinity", "-Infinity"):
         bad.write_text('{"W": [[[1, 0]]], "U": [[[%s, 0]]]}' % entry)
-        with pytest.raises(SchemaError, match="'U'"):
-            dsl.load_constants(bad)
+        constants = dsl.load_constants(bad)
+        dsl.compile_to_transformation(dsl.parse("dim 1; T1 = mat(W);"), constants)
+        with pytest.raises(SchemaError) as err:
+            dsl.compile_to_transformation(dsl.parse("dim 1; T1 = mat(U);"), constants)
+        assert str(err.value) == "matrix 'U' has a non-finite entry"
 
 
 def test_shared_vanishing_divisor_reports_first_output():
@@ -264,6 +272,7 @@ def test_shared_vanishing_divisor_reports_first_output():
     with pytest.raises(DivisionNearZero) as err:
         dsl.evaluate(dsl.parse(source), np.array([1.0 + 0j, 2.0 + 0j]))
     assert (err.value.line, err.value.column) == (3, 13)
+    assert str(err.value) == "3:13: divisor modulus below 1e-300"
 
 
 def test_shared_phase_reads_each_row_of_mat():

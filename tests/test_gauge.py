@@ -57,6 +57,15 @@ def test_orthogonal_pair_is_degenerate():
         wg.extract_theta(transform, *np.eye(3, dtype=complex)[:2])
 
 
+def test_overlap_at_the_degeneracy_bound_is_degenerate():
+    # |<w|z>| = 1e-8 and |w| |z| = 1 exactly: the bound is DEGENERATE_TOL, met, not passed
+    identity = wg.Transformation(lambda z: z, 2)
+    w = np.array([1.0, 0.0])
+    with pytest.raises(DegeneratePair):
+        wg.extract_theta(identity, w, np.array([1e-8, 1.0]))
+    assert wg.extract_theta(identity, w, np.array([1.0000001e-8, 1.0])) == 0.0
+
+
 def test_pair_whose_norms_pass_float_range_is_degenerate():
     # the bound is NaN there, and a NaN bound clears no pair, a zero overlap least of all
     transform, _ = unitary_transform(2, 11)

@@ -129,6 +129,17 @@ def test_shear_matrix_is_far_from_unitary():
     assert not report.passed
 
 
+def test_adversaries_are_the_documented_maps():
+    z = np.array([0.3 + 0.4j, -0.5 + 0.2j])
+    assert np.array_equal(wg.make_adversary("scaling", 2, 0)(z), 2 * z)
+    warped = z * (1 + np.sum(z.real**2 + z.imag**2))
+    assert np.abs(wg.make_adversary("norm_warp", 2, 0)(z) - warped).max() < 1e-15
+    assert np.array_equal(wg.make_adversary("rank_deficient", 2, 0)(z), [z[0], 0])
+    for seed in range(5):  # z -> (z1 + s z2, z2) with the strength s in [0.5, 1.5)
+        strength = wg.make_adversary("shear", 2, seed)(np.array([0, 1 + 0j]))[0]
+        assert 0.5 <= strength.real < 1.5 and strength.imag == 0
+
+
 def test_adversary_dimension_preconditions():
     with pytest.raises(DimensionMismatch):
         wg.make_adversary("shear", 1, 0)
@@ -146,6 +157,8 @@ def test_default_manifest_shape():
     assert all(2 <= e["n"] <= 8 for e in entries)
     seeds = [(e["kind"], e["n"], e["seed"]) for e in entries]
     assert len(set(seeds)) == len(seeds)
+    assert [e["kind"] for e in symmetries] == ["linear"] * 20 + ["antilinear"] * 20
+    assert [e["seed"] for e in entries] == [*range(9000, 9040), *range(77000, 77010)]
 
 
 def test_validate_manifest_errors():

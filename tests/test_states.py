@@ -54,8 +54,10 @@ def test_as_array_keeps_the_value_of_a_number():
 
 
 def test_transformation_validates_dimension():
-    with pytest.raises(DimensionMismatch):
+    # the bound is the settings table's: 0 is refused like any bad setting
+    with pytest.raises(SchemaError) as err:
         wg.Transformation(lambda z: z, 0)
+    assert str(err.value) == "dimension must be at least 1"
     transform = wg.Transformation(lambda z: z, 2)
     with pytest.raises(DimensionMismatch):
         transform(np.zeros(3))
